@@ -30,17 +30,19 @@ class TxnStatus(Enum):
 class Transaction:
     """Per-thread handle; never shared between threads."""
 
-    __slots__ = ("ts", "status", "read_set", "write_set", "pstate")
+    __slots__ = ("ts", "status", "read_set", "write_set")
 
     def __init__(self, ts: int):
         self.ts = ts
         self.status = TxnStatus.LIVE
         self.read_set: dict[int, object] = {}
         self.write_set: dict[int, object] = {}
-        self.pstate: dict = {}  # scratch area owned by the backend
 
     def __repr__(self):
         return f"<Transaction ts={self.ts} {self.status.value}>"
+
+
+_LIVE = TxnStatus.LIVE
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,26 @@ class Engine:
         return txn
 
     def read(self, txn: Transaction, oid: int):
-        self._require_live(txn)
-        if oid in txn.write_set:
-            return txn.write_set[oid]
-        if oid in txn.read_set:
-            return txn.read_set[oid]
+        # The hot path of every traversal: the liveness test is inlined
+        # and the write set is probed only once the transaction has one.
+        if txn.status is not _LIVE:
+            self._require_live(txn)
+        write_set = txn.write_set
+        if write_set and oid in write_set:
+            return write_set[oid]
+        read_set = txn.read_set
+        if oid in read_set:
+            return read_set[oid]
         try:
-            value = self.backend.on_read(txn, oid)
+            value = read_set[oid] = self.backend.on_read(txn, oid)
         except ProtocolRefused as refusal:
             self._retire(txn, TxnStatus.ABORTED)
             raise TransactionAborted(refusal.reason) from None
-        txn.read_set[oid] = value
+        except BaseException:
+            # NotFound, NoVisibleVersion or anything else: the
+            # transaction cannot go on, so it leaves the live set here
+            self._retire(txn, TxnStatus.ABORTED)
+            raise
         return value
 
     def write(self, txn: Transaction, oid: int, value):

@@ -9,6 +9,8 @@ for voluntary or read-path aborts.
 Backends log read and commit events into the engine's recorder from
 inside their own critical sections, so that the recorded sequence
 numbers reflect the order the effects actually took on each object.
+They test only that a recorder is attached; a disabled recorder turns
+each record call into an immediate return.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ class BackendBase:
 
     def attach(self, engine):
         self.engine = engine
-
-    def _recorder(self):
-        rec = self.engine.recorder
-        return rec if rec is not None and rec.enabled else None
 
     # subclasses must provide:
     #   on_begin(txn) / on_read(txn, oid) / commit(txn) / on_abort(txn)

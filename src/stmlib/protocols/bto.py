@@ -43,19 +43,20 @@ class BtoBackend(BackendBase):
         entry = self._store.get(oid)
         if entry is None:
             raise NotFound(f"object {oid}")
+        ts = txn.ts
         with entry.lock:
-            if txn.ts < entry.max_write:
+            if ts < entry.max_write:
                 raise ProtocolRefused(AbortReason.STALE_READ)
-            if txn.ts > entry.max_read:
-                entry.max_read = txn.ts
-            rec = self._recorder()
+            if ts > entry.max_read:
+                entry.max_read = ts
+            rec = self.engine.recorder
             if rec is not None:
-                rec.record_read(txn.ts, oid, entry.writer_ts)
+                rec.record_read(ts, oid, entry.writer_ts)
             return entry.value
 
     def commit(self, txn):
         ts = txn.ts
-        rec = self._recorder()
+        rec = self.engine.recorder
         if not txn.write_set:
             if rec is not None:
                 rec.record_commit(ts)

@@ -48,20 +48,22 @@ class MvtoBackend(BackendBase):
         chain = self._store.get(oid)
         if chain is None:
             raise NotFound(f"object {oid}")
+        ts = txn.ts
         with chain.lock:
-            i = version_index(chain.stamps, txn.ts)
+            i = version_index(chain.stamps, ts)
             if i < 0:
-                raise NoVisibleVersion(f"object {oid} before ts {txn.ts}")
-            if txn.ts > chain.max_readers[i]:
-                chain.max_readers[i] = txn.ts
-            rec = self._recorder()
+                raise NoVisibleVersion(f"object {oid} before ts {ts}")
+            max_readers = chain.max_readers
+            if ts > max_readers[i]:
+                max_readers[i] = ts
+            rec = self.engine.recorder
             if rec is not None:
-                rec.record_read(txn.ts, oid, chain.stamps[i])
+                rec.record_read(ts, oid, chain.stamps[i])
             return chain.values[i]
 
     def commit(self, txn):
         ts = txn.ts
-        rec = self._recorder()
+        rec = self.engine.recorder
         if not txn.write_set:
             if rec is not None:
                 rec.record_commit(ts)

@@ -12,29 +12,39 @@ lock but letting its effect land later would let two admissions take
 effect in the opposite order, and the graph would certify an execution
 that never happened.
 
+A cycle is searched for only from a node that has an out-edge: a node
+with none cannot lie on a cycle, however many in-edges it gains.  The
+edges a read, a commit or a begin draws all point into the transaction
+doing it (from the object's committed writers, from the object's
+readers and writers, and from every committed node).  So a live
+transaction gains an out-edge only when another transaction's commit
+overwrites an object it has read, and most reads skip the search.
+
 Committed nodes cannot be dropped immediately: a transaction that
-overlapped one may still pick up an edge through it.  Each commit
-therefore snapshots the live set, and the collector frees a committed
-node once everybody in that snapshot has terminated.
+overlapped one may still pick up an edge through it.  A commit C
+therefore queues its node with a tag, the engine's next begin stamp
+read under the graph lock, and the collector frees queued nodes from
+the front while their tag is at most the engine's oldest active stamp.
+Every transaction live at C's commit has already taken its stamp, so
+that stamp is below C's tag, and it stays in the engine's live set
+until it has terminated here.  The engine's live set thus contains the
+graph's live nodes, and C is freed only once every transaction that
+overlapped its commit has ended; a collector that reads a stale oldest
+stamp frees less, never more.  Tags grow in commit order, so the queue
+is sorted by tag and a pass costs only what it frees.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 
-from .._kernels import graph_has_cycle, node_on_cycle
+from .._kernels import node_on_cycle
 from ..errors import AbortReason, NotFound
 from .base import BackendBase, ProtocolRefused
 
 _LIVE = 0
 _COMMITTED = 1
-
-
-def detect_cycle(adj, start=None):
-    """Cycle test over an adjacency map, from one node or anywhere."""
-    if start is None:
-        return graph_has_cycle(adj)
-    return node_on_cycle(adj, start)
 
 
 class _Entry:
@@ -66,7 +76,7 @@ class SgtBackend(BackendBase):
         self._out: dict[int, set[int]] = {}
         self._in: dict[int, set[int]] = {}
         self._status: dict[int, int] = {}
-        self._watch: dict[int, set[int]] = {}  # committed ts -> live overlap
+        self._retired: deque[tuple[int, int]] = deque()  # (tag, ts), commit order
         self._reads_of: dict[int, set[int]] = {}
         self._writes_of: dict[int, set[int]] = {}
 
@@ -92,12 +102,12 @@ class SgtBackend(BackendBase):
             for writer in entry.writers:
                 if writer != ts:
                     self._add_edge(writer, ts)
-            if node_on_cycle(self._out, ts):
-                self._drop_node(ts)
+            if self._out[ts] and node_on_cycle(self._out, ts):
+                self._unlink(ts)
                 raise ProtocolRefused(AbortReason.CYCLE_DETECTED)
             entry.readers.add(ts)
             self._reads_of[ts].add(oid)
-            rec = self._recorder()
+            rec = self.engine.recorder
             if rec is not None:
                 rec.record_read(ts, oid, entry.writer_ts)
             return entry.value
@@ -115,8 +125,8 @@ class SgtBackend(BackendBase):
                 for writer in entry.writers:
                     if writer != ts:
                         self._add_edge(writer, ts)
-            if node_on_cycle(self._out, ts):
-                self._drop_node(ts)
+            if self._out[ts] and node_on_cycle(self._out, ts):
+                self._unlink(ts)
                 return AbortReason.CYCLE_DETECTED
             writes = self._writes_of.setdefault(ts, set())
             for oid, value in txn.write_set.items():
@@ -129,20 +139,15 @@ class SgtBackend(BackendBase):
                 entry.writers.add(ts)
                 writes.add(oid)
             self._status[ts] = _COMMITTED
-            for overlap in self._watch.values():
-                overlap.discard(ts)
-            self._watch[ts] = {
-                t for t, status in self._status.items() if status == _LIVE
-            }
-            rec = self._recorder()
+            self._retired.append((self.engine._next_ts, ts))
+            rec = self.engine.recorder
             if rec is not None:
                 rec.record_commit(ts)
             return None
 
     def on_abort(self, txn):
         with self._glock:
-            if txn.ts in self._status or txn.ts in self._out:
-                self._drop_node(txn.ts)
+            self._unlink(txn.ts)
 
     # -- graph maintenance --------------------------------------------
 
@@ -150,34 +155,31 @@ class SgtBackend(BackendBase):
         self._out[a].add(b)
         self._in[b].add(a)
 
-    def _drop_node(self, ts: int):
-        """Remove a live or aborting node and tell the watchers."""
-        self._unlink(ts)
-        for overlap in self._watch.values():
-            overlap.discard(ts)
-
     def _unlink(self, ts: int):
+        """Remove a node, its edges and its store marks; absent is fine."""
         for pred in self._in.pop(ts, ()):
             self._out[pred].discard(ts)
         for succ in self._out.pop(ts, ()):
             self._in[succ].discard(ts)
         self._status.pop(ts, None)
+        lookup = self._store.get  # called once per object the node touched
         for oid in self._reads_of.pop(ts, ()):
-            entry = self._store.get(oid)
+            entry = lookup(oid)
             if entry is not None:
                 entry.readers.discard(ts)
         for oid in self._writes_of.pop(ts, ()):
-            entry = self._store.get(oid)
+            entry = lookup(oid)
             if entry is not None:
                 entry.writers.discard(ts)
 
     def collect(self, min_active_ts: int) -> int:
+        freed = 0
         with self._glock:
-            done = [ts for ts, overlap in self._watch.items() if not overlap]
-            for ts in done:
-                del self._watch[ts]
-                self._unlink(ts)
-            return len(done)
+            retired = self._retired
+            while retired and retired[0][0] <= min_active_ts:
+                self._unlink(retired.popleft()[1])
+                freed += 1
+        return freed
 
     # -- store access -------------------------------------------------
 

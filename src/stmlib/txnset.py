@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from .core import TxnStatus
 from .errors import RetryLimitExceeded, TransactionAborted, ValueOutOfRange
 
 HEAD_KEY = -(2**63)
@@ -109,7 +110,9 @@ def execute_with_retry(
     """Run body(txn) in fresh transactions until one commits.
 
     Returns (value, retries, commit_ts).  Every retry is a new
-    transaction with a new, larger timestamp.
+    transaction with a new, larger timestamp.  TransactionAborted from
+    body means retry; any other exception aborts the transaction, if
+    still live, and propagates without a retry.
     """
     retries = 0
     while True:
@@ -118,6 +121,10 @@ def execute_with_retry(
             value = body(txn)
         except TransactionAborted:
             pass  # already aborted by the engine on the read path
+        except BaseException:
+            if txn.status is TxnStatus.LIVE:
+                engine.abort(txn)
+            raise
         else:
             result = engine.commit(txn)
             if result.committed:

@@ -111,6 +111,8 @@ def test_read_unknown_object(protocol):
     txn = eng.begin()
     with pytest.raises(NotFound):
         eng.read(txn, 404)
+    assert txn.status is TxnStatus.ABORTED
+    assert eng.min_active_ts() == txn.ts + 1  # nothing left live
 
 
 def test_unknown_protocol_rejected():
@@ -151,6 +153,21 @@ def test_recorder_sees_the_expected_events(protocol):
     assert kinds == [READ, WRITE, COMMIT, ABORT]
     read = rec.history().events[0]
     assert read.oid == oid and read.version_ts == 0
+
+
+def test_disabled_recorder_stays_empty(protocol):
+    rec = HistoryRecorder(enabled=False)
+    eng = Engine(protocol, recorder=rec)
+    oid = eng.seed_object(5)
+    txn = eng.begin()
+    eng.read(txn, oid)
+    eng.write(txn, oid, 6)
+    assert eng.commit(txn).committed
+    loser = eng.begin()
+    eng.read(loser, oid)
+    eng.write(loser, oid, 7)
+    eng.abort(loser)
+    assert len(rec) == 0
 
 
 def test_commit_result_carries_reason():

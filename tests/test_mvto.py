@@ -6,7 +6,14 @@ from bisect import insort
 import pytest
 from conftest import random_script, scripted_outcomes
 
-from stmlib import AbortReason, BenchConfig, Engine, NoVisibleVersion, run_benchmark
+from stmlib import (
+    AbortReason,
+    BenchConfig,
+    Engine,
+    NoVisibleVersion,
+    TxnStatus,
+    run_benchmark,
+)
 from stmlib.core import Transaction
 from stmlib.oracle import COMMIT, READ, WRITE
 from stmlib.protocols.mvto import MvtoBackend
@@ -148,6 +155,17 @@ def test_no_visible_version_is_defensive():
     chain.max_readers[:] = [0]
     with pytest.raises(NoVisibleVersion):
         backend.on_read(Transaction(5), 1)
+
+
+def test_no_visible_version_retires_the_reader():
+    eng = fresh_engine(1)
+    chain = eng.backend._store[1]
+    chain.stamps[:] = [9]
+    reader = begin_until(eng, 5)
+    with pytest.raises(NoVisibleVersion):
+        eng.read(reader, 1)
+    assert reader.status is TxnStatus.ABORTED
+    assert eng.min_active_ts() == 6
 
 
 def test_random_scripts_match_shadow_rules():

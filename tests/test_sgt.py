@@ -201,3 +201,18 @@ def test_stress_run_is_serializable_and_drains():
                       seed=19, record_history=True)
     report = run_benchmark(cfg)
     assert report.serializable and report.replay_ok
+
+
+def test_collect_frees_commits_in_order_once_the_oldest_stamp_passes_their_tag():
+    eng = Engine("sgt", gc_period=RETAIN)
+    t1 = eng.begin()
+    t2 = eng.begin()
+    assert eng.commit(t1).committed  # tag 3: t2 began before it
+    t3 = eng.begin()
+    assert eng.commit(t3).committed  # tag 4
+    assert eng.backend.collect(2) == 0
+    assert eng.backend.collect(3) == 1  # t1 only; t3's tag is still ahead
+    assert set(graph(eng)) == {t2.ts, t3.ts}
+    eng.abort(t2)
+    assert eng.collect() == 1
+    assert eng.backend.graph_size() == 0

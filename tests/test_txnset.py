@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from stmlib import (
     Engine,
     HistoryRecorder,
+    NotFound,
     RetryLimitExceeded,
     TransactionalSet,
+    TxnStatus,
     ValueOutOfRange,
     execute_with_retry,
     run_op,
@@ -273,6 +275,52 @@ def test_retry_limit_zero_means_one_attempt():
 
     with pytest.raises(RetryLimitExceeded):
         execute_with_retry(eng, body, retry_limit=0)
+
+
+def _add_then_divide(eng, tset):
+    return lambda txn: (tset.add(txn, 5), 1 / 0)
+
+
+def _add_then_read_unknown(eng, tset):
+    return lambda txn: (tset.add(txn, 5), eng.read(txn, 404))
+
+
+@pytest.mark.parametrize("make_body, error", [
+    (_add_then_divide, ZeroDivisionError),
+    (_add_then_read_unknown, NotFound),
+])
+def test_a_raising_body_is_aborted_and_not_retried(protocol, make_body, error):
+    eng = Engine(protocol)
+    tset = TransactionalSet(eng)
+    txns = []
+    body = make_body(eng, tset)
+    with pytest.raises(error):
+        execute_with_retry(eng, lambda txn: (txns.append(txn), body(txn)))
+    assert len(txns) == 1
+    assert txns[0].status is TxnStatus.ABORTED
+    next_ts = eng.min_active_ts()
+    assert eng.begin().ts == next_ts  # the live set is empty
+    assert tset.committed_items() == []
+
+
+def test_mvto_collects_again_after_a_raising_body():
+    eng = Engine("mvto")
+    tset = TransactionalSet(eng)
+    with pytest.raises(ZeroDivisionError):
+        execute_with_retry(eng, _add_then_divide(eng, tset))
+    for key in (1, 2, 3):
+        run_op(eng, tset, "add", key)
+    assert eng.collect() > 0  # the head's older versions go
+
+
+def test_sgt_graph_drains_after_a_raising_body():
+    eng = Engine("sgt")
+    tset = TransactionalSet(eng)
+    with pytest.raises(ZeroDivisionError):
+        execute_with_retry(eng, _add_then_divide(eng, tset))
+    run_op(eng, tset, "add", 1)
+    eng.collect()
+    assert eng.backend.graph_size() == 0
 
 
 def test_run_op_notes_outcomes_for_replay():
