@@ -9,7 +9,11 @@ otherwise the version would arrive too late and the writer aborts.
 
 Old versions are pruned once no live transaction can reach them: the
 newest version below the oldest active stamp stays, everything older
-goes.
+goes.  A pass visits only the chains that may hold old versions: a
+commit marks each chain it adds a version to, and a pass takes the
+marks, prunes those chains and marks again any that still holds more
+than one version.  A one-version chain never prunes, so skipping the
+unmarked chains frees exactly what a pass over every chain would.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ class MvtoBackend(BackendBase):
         super().__init__()
         self._store: dict[int, _Chain] = {}
         self._store_lock = threading.Lock()
+        self._grown: set[int] = set()  # oids of chains that may hold old versions
 
     def seed(self, oid: int, value):
         with self._store_lock:
@@ -90,8 +95,9 @@ class MvtoBackend(BackendBase):
                 chain.stamps.insert(i, ts)
                 chain.values.insert(i, txn.write_set[oid])
                 chain.max_readers.insert(i, 0)
-            for oid in fresh:
-                with self._store_lock:
+            with self._store_lock:
+                self._grown.update(oid for oid, _ in existing)
+                for oid in fresh:
                     self._store[oid] = _Chain(ts, txn.write_set[oid])
             if rec is not None:
                 rec.record_commit(ts)
@@ -106,8 +112,10 @@ class MvtoBackend(BackendBase):
     def collect(self, min_active_ts: int) -> int:
         pruned = 0
         with self._store_lock:
-            chains = list(self._store.values())
-        for chain in chains:
+            grown, self._grown = self._grown, set()
+        still = []
+        for oid in grown:
+            chain = self._store[oid]
             with chain.lock:
                 i = version_index(chain.stamps, min_active_ts)
                 if i > 0:
@@ -115,6 +123,11 @@ class MvtoBackend(BackendBase):
                     del chain.values[:i]
                     del chain.max_readers[:i]
                     pruned += i
+                if len(chain.stamps) > 1:
+                    still.append(oid)
+        if still:
+            with self._store_lock:
+                self._grown.update(still)
         return pruned
 
     def read_committed(self, oid: int):

@@ -1,24 +1,28 @@
 """Serialization graph testing.
 
 Transactions are nodes in a conflict graph.  Reads draw edges from the
-committed writers of the object, commits draw edges from its readers
-and writers, and begins draw real-time edges from every transaction
-already committed.  An operation that would close a cycle aborts its
-transaction instead.
+committed writers of the object, commits draw edges from every node
+that read or wrote an object in the write set, and begins draw
+real-time edges from every transaction already committed.  An operation
+that would close a cycle aborts its transaction instead.  Every graph
+mutation, the matching store access and the history record for it
+happen under one graph lock: admitting an operation under the lock but
+letting its effect land later would let two admissions take effect in
+the opposite order, certifying an execution that never happened.
 
-Every graph mutation, the matching store access and the history record
-for it happen under one graph lock.  Admitting an operation under the
-lock but letting its effect land later would let two admissions take
-effect in the opposite order, and the graph would certify an execution
-that never happened.
+Objects carry no reader marks.  Each graph-resident node keeps the set
+of objects it has read, and a writing commit tests every such set
+against its write set, at O(graph-resident nodes x |write set|).  That
+adds nothing asymptotically: the transaction's begin already walked
+every graph-resident node.  In exchange a read is one set insert, and
+retiring a node drops its read set whole.
 
 A cycle is searched for only from a node that has an out-edge: a node
-with none cannot lie on a cycle, however many in-edges it gains.  The
-edges a read, a commit or a begin draws all point into the transaction
-doing it (from the object's committed writers, from the object's
-readers and writers, and from every committed node).  So a live
-transaction gains an out-edge only when another transaction's commit
-overwrites an object it has read, and most reads skip the search.
+with none cannot lie on a cycle, however many in-edges it gains.  Every
+edge a read, a commit or a begin draws points into the transaction
+doing it, so a live transaction gains an out-edge only when another
+transaction's commit overwrites an object it has read, and most reads
+skip the search.
 
 Committed nodes cannot be dropped immediately: a transaction that
 overlapped one may still pick up an edge through it.  A commit C
@@ -48,21 +52,12 @@ _COMMITTED = 1
 
 
 class _Entry:
-    __slots__ = ("value", "writer_ts", "readers", "writers")
+    __slots__ = ("value", "writer_ts", "writers")
 
     def __init__(self, value, writer_ts=0):
         self.value = value
         self.writer_ts = writer_ts
-        self.readers: set[int] = set()  # graph-resident txns that read it
         self.writers: set[int] = set()  # graph-resident committed writers
-
-    def meta(self):
-        return {
-            "value": self.value,
-            "writer_ts": self.writer_ts,
-            "readers": sorted(self.readers),
-            "writers": sorted(self.writers),
-        }
 
 
 class SgtBackend(BackendBase):
@@ -77,7 +72,7 @@ class SgtBackend(BackendBase):
         self._in: dict[int, set[int]] = {}
         self._status: dict[int, int] = {}
         self._retired: deque[tuple[int, int]] = deque()  # (tag, ts), commit order
-        self._reads_of: dict[int, set[int]] = {}
+        self._reads_of: dict[int, set[int]] = {}  # keyed by every graph-resident node
         self._writes_of: dict[int, set[int]] = {}
 
     # -- engine hooks -------------------------------------------------
@@ -105,7 +100,6 @@ class SgtBackend(BackendBase):
             if self._out[ts] and node_on_cycle(self._out, ts):
                 self._unlink(ts)
                 raise ProtocolRefused(AbortReason.CYCLE_DETECTED)
-            entry.readers.add(ts)
             self._reads_of[ts].add(oid)
             rec = self.engine.recorder
             if rec is not None:
@@ -114,14 +108,15 @@ class SgtBackend(BackendBase):
 
     def commit(self, txn):
         ts = txn.ts
+        write_set = txn.write_set
         with self._glock:
-            for oid in txn.write_set:
+            for reader, reads in self._reads_of.items():
+                if reader != ts and not reads.isdisjoint(write_set):
+                    self._add_edge(reader, ts)
+            for oid in write_set:
                 entry = self._store.get(oid)
                 if entry is None:
                     continue  # fresh object, no conflicts possible
-                for reader in entry.readers:
-                    if reader != ts:
-                        self._add_edge(reader, ts)
                 for writer in entry.writers:
                     if writer != ts:
                         self._add_edge(writer, ts)
@@ -129,7 +124,7 @@ class SgtBackend(BackendBase):
                 self._unlink(ts)
                 return AbortReason.CYCLE_DETECTED
             writes = self._writes_of.setdefault(ts, set())
-            for oid, value in txn.write_set.items():
+            for oid, value in write_set.items():
                 entry = self._store.get(oid)
                 if entry is None:
                     entry = _Entry(value)
@@ -156,21 +151,15 @@ class SgtBackend(BackendBase):
         self._in[b].add(a)
 
     def _unlink(self, ts: int):
-        """Remove a node, its edges and its store marks; absent is fine."""
+        """Remove a node, its edges, reads and writer marks; absent is fine."""
         for pred in self._in.pop(ts, ()):
             self._out[pred].discard(ts)
         for succ in self._out.pop(ts, ()):
             self._in[succ].discard(ts)
         self._status.pop(ts, None)
-        lookup = self._store.get  # called once per object the node touched
-        for oid in self._reads_of.pop(ts, ()):
-            entry = lookup(oid)
-            if entry is not None:
-                entry.readers.discard(ts)
+        self._reads_of.pop(ts, None)
         for oid in self._writes_of.pop(ts, ()):
-            entry = lookup(oid)
-            if entry is not None:
-                entry.writers.discard(ts)
+            self._store[oid].writers.discard(ts)
 
     def collect(self, min_active_ts: int) -> int:
         freed = 0
@@ -203,7 +192,12 @@ class SgtBackend(BackendBase):
             entry = self._store.get(oid)
             if entry is None:
                 raise NotFound(f"object {oid}")
-            return entry.meta()
+            return {
+                "value": entry.value,
+                "writer_ts": entry.writer_ts,
+                "readers": sorted(ts for ts, reads in self._reads_of.items() if oid in reads),
+                "writers": sorted(entry.writers),
+            }
 
     # -- introspection ------------------------------------------------
 

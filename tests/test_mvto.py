@@ -329,3 +329,18 @@ def test_gc_never_changes_decisions():
         with_gc = scripted_outcomes(fresh_engine(3, gc_period=1), script)
         without_gc = scripted_outcomes(fresh_engine(3, gc_period=RETAIN), script)
         assert with_gc == without_gc, script
+
+
+def test_gc_prunes_a_chain_once_the_transaction_pinning_it_ends():
+    eng = fresh_engine(1)
+    old = eng.begin()
+    for _ in range(3):
+        txn = eng.begin()
+        eng.write(txn, 1, txn.ts)
+        assert eng.commit(txn).committed
+    assert eng.collect() == 0  # old pins min_active_ts below every new version
+    assert len(eng.object_meta(1)["stamps"]) == 4
+    eng.abort(old)
+    assert eng.collect() == 3  # the pinned pass put the chain back
+    assert eng.object_meta(1)["stamps"] == [4]
+    assert eng.collect() == 0

@@ -173,25 +173,33 @@ def test_gc_never_changes_decisions():
         assert with_gc == without_gc, script
 
 
+def _steps(eng, script):
+    """Run (slot, action, oid) steps, yielding after each one its
+    transaction and whether the step committed it."""
+    txns = {}
+    for slot, action, oid in script:
+        txn = txns.get(slot)
+        if txn is None or txn.status.value != "live":
+            txn = txns[slot] = eng.begin()
+        committed = False
+        try:
+            if action == "read":
+                eng.read(txn, oid)
+            elif action == "write":
+                eng.read(txn, oid)
+                eng.write(txn, oid, 1)
+            else:
+                committed = eng.commit(txn).committed
+        except TransactionAborted:
+            pass
+        yield txn, committed
+
+
 def test_graph_stays_acyclic_after_every_operation():
     rng = random.Random(31)
     for _ in range(20):
         eng = _seeded(RETAIN)
-        txns = {}
-        for slot, action, oid in random_script(rng, steps=40):
-            txn = txns.get(slot)
-            if txn is None or txn.status.value != "live":
-                txn = txns[slot] = eng.begin()
-            try:
-                if action == "read":
-                    eng.read(txn, oid)
-                elif action == "write":
-                    eng.read(txn, oid)
-                    eng.write(txn, oid, 1)
-                else:
-                    eng.commit(txn)
-            except TransactionAborted:
-                pass
+        for _ in _steps(eng, random_script(rng, steps=40)):
             adj = {n: set(s) for n, s in graph(eng).items()}
             assert not closure_has_cycle(adj)
 
@@ -216,3 +224,41 @@ def test_collect_frees_commits_in_order_once_the_oldest_stamp_passes_their_tag()
     eng.abort(t2)
     assert eng.collect() == 1
     assert eng.backend.graph_size() == 0
+
+
+@pytest.mark.parametrize("gc_period", [1, 3, RETAIN])
+def test_writing_commit_gains_an_in_edge_from_every_resident_reader(gc_period):
+    rng = random.Random(59 + gc_period)
+    for _ in range(30):
+        eng = _seeded(gc_period)
+        by_ts = {}
+        for txn, committed in _steps(eng, random_script(rng, steps=40)):
+            by_ts[txn.ts] = txn
+            if not (committed and txn.write_set):
+                continue
+            for node, succ in graph(eng).items():
+                if node != txn.ts and not by_ts[node].read_set.keys().isdisjoint(txn.write_set):
+                    assert txn.ts in succ, (node, txn.ts, graph(eng))
+
+
+def test_retained_reader_is_listed_and_draws_edges_until_freed():
+    eng = Engine("sgt", gc_period=RETAIN)
+    x = eng.seed_object(0)
+    overlap = eng.begin()
+    reader = eng.begin()
+    writer = eng.begin()
+    eng.read(reader, x)
+    assert eng.commit(reader).committed
+    assert eng.collect() == 0  # overlap keeps the committed reader resident
+    assert eng.object_meta(x)["readers"] == [reader.ts]
+    eng.write(writer, x, 1)
+    assert eng.commit(writer).committed
+    assert (reader.ts, writer.ts) in edges(eng)
+    eng.abort(overlap)
+    assert eng.collect() == 2
+    assert eng.object_meta(x)["readers"] == []
+    late = eng.begin()
+    eng.write(late, x, 2)
+    assert eng.commit(late).committed
+    assert edges(eng) == set()
+    assert eng.object_meta(x)["writers"] == [late.ts]
