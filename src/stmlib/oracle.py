@@ -8,6 +8,14 @@ yields a witness order over the committed transactions, and that
 witness can be replayed at the set-operation level to confirm the run
 is equivalent to a sequential execution.
 
+The check reads each event once, bucketing commits, aborts, and per
+object its reads and writers.  From those buckets it draws the
+precedence graph straight into successor lists and in-degree counts;
+an edge drawn twice is kept twice, which Kahn's topological sort
+handles by consuming each copy.  Time and memory are linear in the
+number of events apart from sorting each object's writers and the heap
+that picks the smallest ready timestamp.
+
 Transaction ids equal transaction timestamps throughout; each retry of
 a set operation is a fresh transaction with a fresh stamp.
 
@@ -22,7 +30,9 @@ from __future__ import annotations
 import heapq
 import threading
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import IncompleteHistory, WitnessInvalid
@@ -128,137 +138,90 @@ class HistoryRecorder:
             )
 
 
-def _require_complete(history: History):
-    terminated = set()
-    touched = set()
-    for e in history.events:
-        if e.kind in (COMMIT, ABORT):
-            terminated.add(e.txn)
-        else:
-            touched.add(e.txn)
-    hanging = touched - terminated
+def _precedence_graph(events: list[Event], multiversion: bool):
+    """Successor lists and in-degrees over the committed transactions.
+
+    One scan buckets the events: the commit seq of each committed txn,
+    the aborted txns, and per object its reads `(seq, txn, version_ts)`
+    and its writers.  Aborted transactions never published an effect
+    and draw no edge.
+
+    Write-write edges join consecutive committed writers of an object.
+    Single-version rules order read effects at their read seq and write
+    effects at their writer's commit seq, and draw each committed read's
+    edges to its nearest enclosing writes.  Multiversion rules order
+    versions by writer stamp, and draw a reads-from edge from the version
+    a read observed plus an edge to the next committed writer in version
+    order, which chains to the rest.  Either way the edge count stays
+    linear while reachability, and therefore cycles and topological
+    orders, of the full conflict relation is preserved.  Edges are
+    appended without removing duplicates: Kahn's algorithm consumes
+    every copy when its source is emitted.
+    """
+    commit_seq: dict[int, int] = {}
+    aborted: set[int] = set()
+    reads: defaultdict[int, list] = defaultdict(list)
+    writers: defaultdict[int, set[int]] = defaultdict(set)
+    for seq, txn, _ts, kind, oid, version_ts in events:
+        if kind == READ:
+            reads[oid].append((seq, txn, version_ts))
+        elif kind == WRITE:
+            writers[oid].add(txn)
+        elif kind == COMMIT:
+            commit_seq[txn] = seq
+        elif kind == ABORT:
+            aborted.add(txn)
+    hanging = set(map(itemgetter(1), events)).difference(commit_seq, aborted)
     if hanging:
         raise IncompleteHistory(f"{len(hanging)} transaction(s) never terminated")
 
-
-def _single_version_edges(history: History, committed: set[int]):
-    """Precedence edges for a single-version history.
-
-    Read effects are ordered at their read seq, write effects at their
-    writer's commit seq.  Emitting only consecutive write-write edges
-    plus each read's nearest enclosing writes keeps the edge count
-    linear while preserving reachability, and therefore cycles and
-    topological orders, of the full conflict relation.
-    """
-    commit_seq = {
-        e.txn: e.seq for e in history.events if e.kind == COMMIT and e.txn in committed
-    }
-    reads: dict[int, list[tuple[int, int]]] = {}  # oid -> [(seq, txn)]
-    writers: dict[int, set[int]] = {}  # oid -> committed writer txns
-    for e in history.events:
-        if e.txn not in committed:
-            continue
-        if e.kind == READ:
-            reads.setdefault(e.oid, []).append((e.seq, e.txn))
-        elif e.kind == WRITE:
-            writers.setdefault(e.oid, set()).add(e.txn)
-
-    edges: set[tuple[int, int]] = set()
-    for oid in set(reads) | set(writers):
-        ws = sorted(((commit_seq[t], t) for t in writers.get(oid, ())))
-        for (_, a), (_, b) in zip(ws, ws[1:]):
-            edges.add((a, b))
+    succ: dict[int, list[int]] = {t: [] for t in commit_seq}
+    indeg = dict.fromkeys(commit_seq, 0)
+    for oid, txns in writers.items():
+        if multiversion:
+            ws = order = sorted(t for t in txns if t in commit_seq)  # txn id == ts
+        else:
+            by_commit = sorted((commit_seq[t], t) for t in txns if t in commit_seq)
+            order = [s for s, _ in by_commit]
+            ws = [t for _, t in by_commit]
         if not ws:
             continue
-        wseqs = [s for s, _ in ws]
-        for rseq, reader in reads.get(oid, ()):
-            i = bisect_left(wseqs, rseq)
-            # A transaction's own write commits after its reads, so the
-            # preceding write can never be the reader's.
-            if i > 0:
-                edges.add((ws[i - 1][1], reader))
-            if i < len(ws) and ws[i][1] != reader:
-                edges.add((reader, ws[i][1]))
-    return edges
-
-
-def _multiversion_edges(history: History, committed: set[int]):
-    """Precedence edges for a multiversion history.
-
-    Version order is writer-timestamp order.  Each read contributes a
-    reads-from edge from the version it observed plus an edge to the
-    next committed writer in version order, which chains to the rest.
-    """
-    reads: dict[int, list[tuple[int, int]]] = {}  # oid -> [(version_ts, reader)]
-    writers: dict[int, set[int]] = {}
-    for e in history.events:
-        if e.txn not in committed:
-            continue
-        if e.kind == READ:
-            reads.setdefault(e.oid, []).append((e.version_ts, e.txn))
-        elif e.kind == WRITE:
-            writers.setdefault(e.oid, set()).add(e.txn)
-
-    edges: set[tuple[int, int]] = set()
-    for oid in set(reads) | set(writers):
-        ws = sorted(writers.get(oid, ()))  # txn id == ts, ascending version order
         for a, b in zip(ws, ws[1:]):
-            edges.add((a, b))
-        for version_ts, reader in reads.get(oid, ()):
-            if version_ts and version_ts in writers.get(oid, ()):
-                edges.add((version_ts, reader))
-            i = bisect_left(ws, version_ts + 1)
-            if i < len(ws) and ws[i] != reader:
-                edges.add((reader, ws[i]))
-    return edges
+            succ[a].append(b)
+            indeg[b] += 1
+        n = len(ws)
+        for rseq, reader, version_ts in reads.get(oid, ()):
+            if reader not in commit_seq:
+                continue
+            if multiversion:
+                # The read's own version, when a committed writer made it.
+                i = bisect_left(order, version_ts + 1)
+                before = version_ts if i and version_ts and ws[i - 1] == version_ts else None
+            else:
+                # A transaction's own write commits after its reads, so
+                # the preceding write can never be the reader's.
+                i = bisect_left(order, rseq)
+                before = ws[i - 1] if i else None
+            if before is not None:
+                succ[before].append(reader)
+                indeg[reader] += 1
+            if i < n and ws[i] != reader:
+                succ[reader].append(ws[i])
+                indeg[ws[i]] += 1
+    return succ, indeg
 
 
-def _topo_order(nodes: set[int], edges: set[tuple[int, int]]):
-    """Timestamp-preferring topological order, or None if cyclic."""
-    succ: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(ready, m)
-    if len(order) != len(nodes):
-        return None
-    return order
+def _find_cycle(succ: dict[int, list[int]], remaining: list[int]):
+    """One directed cycle among the nodes Kahn's algorithm left over.
 
-
-def _find_cycle(nodes: set[int], edges: set[tuple[int, int]]):
-    """One directed cycle from a graph known to contain at least one."""
-    succ: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
-    remaining = set(nodes)
-    while ready:
-        n = ready.pop()
-        remaining.discard(n)
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    # Every remaining node has an in-edge from remaining; walk backward
-    # until a node repeats, then cut the walk down to the loop.
-    pred: dict[int, int] = {}
-    for a, b in edges:
-        if a in remaining and b in remaining:
-            pred[b] = a
-    node = next(iter(remaining))
-    seen = {}
+    Every leftover node keeps an in-edge from another leftover node, so
+    walking predecessors backward must repeat a node; the walk is cut
+    down to that loop.
+    """
+    left = set(remaining)
+    pred = {b: a for a in remaining for b in succ[a] if b in left}
+    node = remaining[0]
+    seen: dict[int, int] = {}
     walk = []
     while node not in seen:
         seen[node] = len(walk)
@@ -276,19 +239,25 @@ def check_conflict_serializability(
 
     Aborted transactions never published an effect and are ignored.
     With multiversion=None the history's recorded protocol decides how
-    read-write conflicts are ordered.
+    read-write conflicts are ordered.  The witness is the topological
+    order that always emits the smallest ready timestamp.
     """
-    _require_complete(history)
     if multiversion is None:
         multiversion = history.multiversion
-    committed = history.committed_txns()
-    if multiversion:
-        edges = _multiversion_edges(history, committed)
-    else:
-        edges = _single_version_edges(history, committed)
-    order = _topo_order(committed, edges)
-    if order is None:
-        return Verdict(serializable=False, cycle=_find_cycle(committed, edges))
+    succ, indeg = _precedence_graph(history.events, multiversion)
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in succ[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, m)
+    if len(order) != len(indeg):
+        remaining = [n for n, d in indeg.items() if d]
+        return Verdict(serializable=False, cycle=_find_cycle(succ, remaining))
     return Verdict(serializable=True, witness=order)
 
 

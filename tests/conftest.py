@@ -1,9 +1,11 @@
 """Shared helpers: independent oracles and history generators.
 
-The brute-force serializability check deliberately shares no code with
-stmlib.oracle: it enumerates permutations of the committed
-transactions and accepts a history iff some serial order makes every
-read observe exactly the writer stamp it recorded.
+The brute-force serializability checks deliberately share no code with
+stmlib.oracle: they enumerate permutations of the committed
+transactions.  The single-version one accepts a history iff some serial
+order makes every read observe exactly the writer stamp it recorded;
+the multiversion one iff some serial order respects version (stamp)
+order and places every read between the version it saw and the next.
 """
 
 from __future__ import annotations
@@ -47,6 +49,44 @@ def brute_force_serializable(history: History) -> bool:
                 break
             for oid in writes[txn]:
                 last_writer[oid] = txn
+        if ok:
+            return True
+    return False
+
+
+def brute_force_multiversion_serializable(history: History) -> bool:
+    """Permutation oracle under stamp version order; <= 7 committed txns.
+
+    An order is accepted iff each object's committed writers appear in
+    stamp order, and each committed read comes after the writer of the
+    version it saw and before the next committed writer of that object
+    in stamp order, unless that writer is the reader itself.
+    """
+    committed = sorted(e.txn for e in history.events if e.kind == COMMIT)
+    assert len(committed) <= 7, "history too large for the permutation oracle"
+    writers = defaultdict(set)
+    reads = []
+    for e in history.events:
+        if e.txn not in committed:
+            continue
+        if e.kind == WRITE:
+            writers[e.oid].add(e.txn)
+        elif e.kind == READ:
+            reads.append((e.txn, e.oid, e.version_ts))
+    for perm in permutations(committed):
+        pos = {txn: i for i, txn in enumerate(perm)}
+        if any([pos[w] for w in sorted(ws)] != sorted(pos[w] for w in ws)
+               for ws in writers.values()):
+            continue
+        ok = True
+        for reader, oid, seen in reads:
+            if seen in writers[oid] and pos[seen] > pos[reader]:
+                ok = False
+                break
+            later = [w for w in writers[oid] if w > seen]
+            if later and min(later) != reader and pos[min(later)] < pos[reader]:
+                ok = False
+                break
         if ok:
             return True
     return False
@@ -96,6 +136,54 @@ def random_single_version_history(rng: random.Random, max_txns: int = 5,
                 current_writer[woid] = txn
             alive.remove(txn)
     return History(events=events)
+
+
+def random_multiversion_history(rng: random.Random, max_txns: int = 5,
+                                n_objects: int = 3) -> History:
+    """Interleave unprotected multiversion transactions.
+
+    Transaction stamps are 1..n and transactions commit in a shuffled
+    stamp order.  Each read picks, among the versions committed so far
+    with a stamp below the reader's (0 being the initial version), the
+    newest or one at random.  About 15% of transactions abort after
+    recording their write intents, so aborted writers are in the
+    history too.  The result may or may not be serializable.
+    """
+    n_txns = rng.randint(1, max_txns)
+    pending = {}
+    write_sets = {}
+    for txn in range(1, n_txns + 1):
+        read_oids = rng.sample(range(1, n_objects + 1),
+                               rng.randint(1, n_objects))
+        pending[txn] = [("r", oid) for oid in read_oids] + [("c", None)]
+        write_sets[txn] = sorted(oid for oid in range(1, n_objects + 1)
+                                 if rng.random() < 0.4)
+
+    events = []
+    seq = 0
+    versions = defaultdict(lambda: [0])  # oid -> committed writer stamps
+    alive = list(pending)
+    while alive:
+        txn = rng.choice(alive)
+        op, oid = pending[txn].pop(0)
+        if op == "r":
+            visible = [v for v in versions[oid] if v < txn]
+            seen = max(visible) if rng.random() < 0.5 else rng.choice(visible)
+            seq += 1
+            events.append(Event(seq, txn, txn, READ, oid, seen))
+            continue
+        for woid in write_sets[txn]:
+            seq += 1
+            events.append(Event(seq, txn, txn, WRITE, woid, None))
+        seq += 1
+        if rng.random() < 0.15:
+            events.append(Event(seq, txn, txn, ABORT, 0, None))
+        else:
+            events.append(Event(seq, txn, txn, COMMIT, 0, None))
+            for woid in write_sets[txn]:
+                versions[woid].append(txn)
+        alive.remove(txn)
+    return History(events=events, protocol="mvto")
 
 
 def scripted_outcomes(eng, script) -> list[str]:
@@ -159,8 +247,10 @@ __all__ = [
     "PROTOCOLS",
     "READ",
     "WRITE",
+    "brute_force_multiversion_serializable",
     "brute_force_serializable",
     "history_of",
+    "random_multiversion_history",
     "random_script",
     "random_single_version_history",
     "scripted_outcomes",

@@ -5,8 +5,10 @@ import threading
 
 import pytest
 from conftest import (
+    brute_force_multiversion_serializable,
     brute_force_serializable,
     history_of,
+    random_multiversion_history,
     random_single_version_history,
 )
 
@@ -108,6 +110,21 @@ def test_graph_checker_matches_brute_force():
     assert agree_sat > 20 and agree_unsat > 20
 
 
+def test_multiversion_checker_matches_brute_force():
+    rng = random.Random(2027)
+    agree_sat = agree_unsat = 0
+    for _ in range(400):
+        h = random_multiversion_history(rng)
+        verdict = check_conflict_serializability(h, multiversion=True)
+        expected = brute_force_multiversion_serializable(h)
+        assert verdict.serializable == expected
+        if expected:
+            agree_sat += 1
+        else:
+            agree_unsat += 1
+    assert agree_sat > 20 and agree_unsat > 20
+
+
 def test_witness_replays_every_read():
     rng = random.Random(77)
     checked = 0
@@ -133,20 +150,64 @@ def test_witness_replays_every_read():
     assert checked > 50
 
 
-def test_cycle_is_a_closed_walk_of_committed_txns():
+def naive_conflicts(h: History, multiversion: bool) -> set[tuple[int, int]]:
+    """Every ordered pair of committed txns in conflict, computed naively.
+
+    Single-version: a read before a committed write of the object, a
+    committed write before a read of it, or two writes in commit order.
+    Multiversion: two writes in stamp order, a write before a read of
+    its version, or a read before a write of a later version.
+    """
+    commit = {e.txn: e.seq for e in h.events if e.kind == COMMIT}
+    reads = [e for e in h.events if e.kind == READ and e.txn in commit]
+    writes = [e for e in h.events if e.kind == WRITE and e.txn in commit]
+    pairs = set()
+    for w in writes:
+        for other in writes:
+            if other.oid == w.oid and other.txn != w.txn:
+                later = other.txn > w.txn if multiversion else commit[other.txn] > commit[w.txn]
+                if later:
+                    pairs.add((w.txn, other.txn))
+        for r in reads:
+            if r.oid != w.oid or r.txn == w.txn:
+                continue
+            if multiversion:
+                if r.version_ts == w.txn:
+                    pairs.add((w.txn, r.txn))
+                elif w.txn > r.version_ts:
+                    pairs.add((r.txn, w.txn))
+            elif commit[w.txn] < r.seq:
+                pairs.add((w.txn, r.txn))
+            else:
+                pairs.add((r.txn, w.txn))
+    return pairs
+
+
+def assert_cycles_are_closed_walks_of_conflicts(generate, multiversion: bool):
     rng = random.Random(9)
     found = 0
     for _ in range(300):
-        h = random_single_version_history(rng)
-        verdict = check_conflict_serializability(h, multiversion=False)
+        h = generate(rng)
+        verdict = check_conflict_serializability(h, multiversion=multiversion)
         if verdict.serializable:
             continue
         cycle = verdict.cycle
         assert len(cycle) >= 2
         assert len(set(cycle)) == len(cycle)
         assert set(cycle) <= h.committed_txns()
+        edges = naive_conflicts(h, multiversion)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert (a, b) in edges
         found += 1
     assert found > 20
+
+
+def test_cycle_is_a_closed_walk_of_committed_txns():
+    assert_cycles_are_closed_walks_of_conflicts(random_single_version_history, False)
+
+
+def test_multiversion_cycle_is_a_closed_walk_of_conflicts():
+    assert_cycles_are_closed_walks_of_conflicts(random_multiversion_history, True)
 
 
 def test_multiversion_old_reader_is_fine():
