@@ -5,7 +5,6 @@ write engine, a transactional sorted set built on it, a recorded-
 history serializability checker, and a benchmark harness.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .bench import BenchConfig, BenchReport, emit_report, generate_op, run_benchmark
 from .core import CommitResult, Engine, Transaction, TxnStatus
 from .errors import (
@@ -44,7 +43,6 @@ __all__ = [
     "History",
     "HistoryRecorder",
     "IncompleteHistory",
-    "KERNEL_BACKEND",
     "NoVisibleVersion",
     "NotFound",
     "RetryLimitExceeded",

@@ -14,7 +14,6 @@ reproducible op-for-op regardless of interleaving.
 from __future__ import annotations
 
 import csv
-import os
 import random
 import threading
 import time
@@ -61,7 +60,6 @@ class BenchConfig:
     record_history: bool = False
     gc_period: int | None = None
     minimal_writes: bool = False
-    pin_threads: bool = False
     retry_limit: int | None = None
 
     @property
@@ -148,14 +146,6 @@ def generate_op(rng: random.Random, cfg: BenchConfig):
     return kind, rng.randint(cfg.key_lo, cfg.key_hi)
 
 
-def _pin(idx: int):  # pragma: no cover - affinity support varies
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[idx % len(cpus)]})
-    except (AttributeError, OSError):
-        pass
-
-
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     cfg.validate()
     recorder = HistoryRecorder() if cfg.record_history else None
@@ -171,8 +161,6 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     results: list = [None] * cfg.threads
 
     def worker(idx: int):
-        if cfg.pin_threads:
-            _pin(idx)
         rng = random.Random(f"{cfg.seed}:{idx}")
         barrier.wait()
         cpu0 = time.thread_time()

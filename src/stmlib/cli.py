@@ -4,20 +4,17 @@ stm-bench bench: run the workload driver, optionally sweeping thread
 counts, and emit CSV/plot/trace artifacts.
 
 stm-bench check: run the serializability oracle over a saved trace.
-
-stm-bench kernelbench: time the compiled admission kernels against the
-pure-Python references.
+A malformed trace or an incomplete history is reported as an error
+(exit 2), never as a verdict (exit 1 means not serializable).
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-import time
 
 from .bench import BenchConfig, emit_report, run_benchmark
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, IncompleteHistory
 from .oracle import check_conflict_serializability, load_trace, save_trace
 
 
@@ -71,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trace", required=True, metavar="PATH")
     check.add_argument("--multiversion", action="store_true",
                        help="force multiversion conflict rules")
-
-    kb = sub.add_parser("kernelbench", help="compare kernel backends")
-    kb.add_argument("--iters", type=int, default=200_000)
     return parser
 
 
@@ -122,9 +116,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    history = load_trace(args.trace)
     multiversion = True if args.multiversion else None
-    verdict = check_conflict_serializability(history, multiversion=multiversion)
+    try:
+        history = load_trace(args.trace)
+        verdict = check_conflict_serializability(history, multiversion=multiversion)
+    except (ValueError, IncompleteHistory) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     committed = history.committed_txns()
     print(f"trace: {len(history.events)} events, {len(committed)} committed txns")
     if verdict.serializable:
@@ -134,65 +132,12 @@ def cmd_check(args) -> int:
     return 1
 
 
-def cmd_kernelbench(args) -> int:
-    from ._kernels import BACKEND, pykernels
-
-    backends = [("py", pykernels)]
-    try:
-        from ._kernels import _ckernels
-
-        backends.append(("c", _ckernels))
-    except ImportError:
-        pass
-
-    rng = random.Random(7)
-    chains = []
-    for _ in range(64):
-        n = rng.randint(1, 48)
-        chains.append(sorted(rng.sample(range(0, 4096), n)))
-    lookups = [(rng.randrange(len(chains)), rng.randint(1, 4096))
-               for _ in range(args.iters)]
-    graphs = []
-    for _ in range(32):
-        nodes = list(range(rng.randint(8, 40)))
-        adj = {n: set() for n in nodes}
-        for _ in range(2 * len(nodes)):
-            a, b = rng.sample(nodes, 2)
-            adj[a].add(b)
-        graphs.append(adj)
-    probes = [(rng.randrange(len(graphs)), rng.randint(0, 7))
-              for _ in range(args.iters // 20)]
-
-    print(f"active backend: {BACKEND}")
-    timings: dict[str, dict[str, float]] = {}
-    for name, mod in backends:
-        t0 = time.perf_counter()
-        for ci, ts in lookups:
-            mod.version_index(chains[ci], ts)
-        t1 = time.perf_counter()
-        for gi, start in probes:
-            mod.node_on_cycle(graphs[gi], start)
-        t2 = time.perf_counter()
-        timings[name] = {"version_index": t1 - t0, "node_on_cycle": t2 - t1}
-        print(f"  {name}: version_index {1000 * (t1 - t0):.1f}ms"
-              f"  node_on_cycle {1000 * (t2 - t1):.1f}ms")
-    if len(backends) == 2:
-        for kernel in ("version_index", "node_on_cycle"):
-            ratio = timings["py"][kernel] / timings["c"][kernel]
-            print(f"  speedup {kernel}: {ratio:.2f}x")
-    else:
-        print("  compiled backend unavailable; nothing to compare")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "bench":
             return cmd_bench(args)
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_kernelbench(args)
+        return cmd_check(args)
     except (ConfigInvalid, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -306,9 +306,14 @@ def save_trace(history: History, path):
 
 
 def load_trace(path) -> History:
+    """Read a trace written by save_trace.
+
+    A line with a non-integer field or fewer than five fields raises
+    ValueError naming path:line.
+    """
     history = History()
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -316,7 +321,12 @@ def load_trace(path) -> History:
                 if "protocol=" in line:
                     history.protocol = line.split("protocol=", 1)[1].split()[0]
                 continue
-            parts = [int(p) for p in line.split()]
+            try:
+                parts = [int(p) for p in line.split()]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}") from None
+            if len(parts) < 5:
+                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, expected at least 5")
             seq, txn, ts, kind, oid = parts[:5]
             version_ts = parts[5] if len(parts) > 5 else None
             history.events.append(Event(seq, txn, ts, kind, oid, version_ts))

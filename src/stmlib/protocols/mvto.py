@@ -14,15 +14,27 @@ commit marks each chain it adds a version to, and a pass takes the
 marks, prunes those chains and marks again any that still holds more
 than one version.  A one-version chain never prunes, so skipping the
 unmarked chains frees exactly what a pass over every chain would.
+
+Version selection stays the module-level function `version_index`,
+looked up as a module global, because the traced benchmark wraps it by
+that name.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
-from .._kernels import version_index
 from ..errors import AbortReason, NotFound, NoVisibleVersion
 from .base import BackendBase
+
+
+def version_index(stamps, ts):
+    """Index of the newest stamp strictly below ts, or -1 if none.
+
+    stamps must be sorted ascending with no duplicates.
+    """
+    return bisect_left(stamps, ts) - 1
 
 
 class _Chain:

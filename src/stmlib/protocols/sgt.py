@@ -36,6 +36,10 @@ graph's live nodes, and C is freed only once every transaction that
 overlapped its commit has ended; a collector that reads a stale oldest
 stamp frees less, never more.  Tags grow in commit order, so the queue
 is sorted by tag and a pass costs only what it frees.
+
+The cycle search stays the module-level function `node_on_cycle`,
+looked up as a module global, because the traced benchmark wraps it by
+that name.
 """
 
 from __future__ import annotations
@@ -43,12 +47,32 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from .._kernels import node_on_cycle
 from ..errors import AbortReason, NotFound
 from .base import BackendBase, ProtocolRefused
 
 _LIVE = 0
 _COMMITTED = 1
+
+
+def node_on_cycle(adj, start):
+    """True if start can reach itself through at least one edge.
+
+    adj maps node -> iterable of successor nodes; nodes absent from adj
+    have no successors.
+    """
+    stack = list(adj.get(start, ()))
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node == start:
+            return True
+        if node in seen:
+            continue
+        seen.add(node)
+        succ = adj.get(node)
+        if succ:
+            stack.extend(succ)
+    return False
 
 
 class _Entry:

@@ -6,6 +6,8 @@ transactions.  The single-version one accepts a history iff some serial
 order makes every read observe exactly the writer stamp it recorded;
 the multiversion one iff some serial order respects version (stamp)
 order and places every read between the version it saw and the next.
+The kernel references are just as naive: a linear scan for version
+selection and a Floyd-Warshall closure for cycle checks.
 """
 
 from __future__ import annotations
@@ -241,6 +243,47 @@ def history_of(steps: list[tuple], protocol: str | None = None) -> History:
     return History(events=events, protocol=protocol)
 
 
+def scan_version(stamps, ts):
+    """Linear-scan reference for version selection."""
+    best = -1
+    for i, stamp in enumerate(stamps):
+        if stamp < ts:
+            best = i
+        else:
+            break
+    return best
+
+
+def warshall_closure(adj):
+    """Transitive closure by Floyd-Warshall; the DFS-free reference."""
+    nodes = sorted(set(adj) | {m for succ in adj.values() for m in succ})
+    index = {n: i for i, n in enumerate(nodes)}
+    n = len(nodes)
+    reach = [[False] * n for _ in range(n)]
+    for a, succ in adj.items():
+        for b in succ:
+            reach[index[a]][index[b]] = True
+    for k in range(n):
+        row_k = reach[k]
+        for i in range(n):
+            if reach[i][k]:
+                row_i = reach[i]
+                for j in range(n):
+                    if row_k[j]:
+                        row_i[j] = True
+    return nodes, index, reach
+
+
+def closure_on_cycle(adj, start):
+    nodes, index, reach = warshall_closure(adj)
+    return start in index and reach[index[start]][index[start]]
+
+
+def closure_has_cycle(adj):
+    nodes, index, reach = warshall_closure(adj)
+    return any(reach[i][i] for i in range(len(nodes)))
+
+
 __all__ = [
     "ABORT",
     "COMMIT",
@@ -249,9 +292,13 @@ __all__ = [
     "WRITE",
     "brute_force_multiversion_serializable",
     "brute_force_serializable",
+    "closure_has_cycle",
+    "closure_on_cycle",
     "history_of",
     "random_multiversion_history",
     "random_script",
     "random_single_version_history",
+    "scan_version",
     "scripted_outcomes",
+    "warshall_closure",
 ]

@@ -155,11 +155,6 @@ def test_retry_limit_reaches_the_workers(monkeypatch):
     assert seen == {7}
 
 
-def test_pinning_flag_is_harmless():
-    report = run_benchmark(small_cfg(threads=2, ops=30, pin_threads=True))
-    assert report.committed == 60
-
-
 def test_recorded_runs_self_verify(protocol):
     cfg = BenchConfig(protocol=protocol, threads=2, ops=80, key_lo=1,
                       key_hi=8, seed=11, record_history=True)

@@ -112,15 +112,18 @@ def test_check_multiversion_flag_changes_the_rules(tmp_path, capsys):
     assert main(["check", "--trace", str(trace), "--multiversion"]) == 0
 
 
-def test_check_missing_file_is_an_error(tmp_path, capsys):
-    code = main(["check", "--trace", str(tmp_path / "absent.trace")])
+@pytest.mark.parametrize("content, message", [
+    (None, "run.trace"),
+    ("1 1 1 0 5\nnot a line\n", "run.trace:2: non-integer field"),
+    ("1 1 1 0 5\n2 1 1\n", "run.trace:2: 3 fields"),
+    ("1 1 1 0 5 0\n", "never terminated"),
+], ids=["missing-file", "non-integer-field", "short-line", "incomplete-history"])
+def test_check_bad_trace_is_an_error(tmp_path, capsys, content, message):
+    trace = tmp_path / "run.trace"
+    if content is not None:
+        trace.write_text(content)
+    code = main(["check", "--trace", str(trace)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_kernelbench_reports_both_backends(capsys):
-    assert main(["kernelbench", "--iters", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert "active backend:" in out
-    assert "py: version_index" in out
-    assert "speedup" in out or "unavailable" in out
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err

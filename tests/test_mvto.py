@@ -4,7 +4,9 @@ import random
 from bisect import insort
 
 import pytest
-from conftest import random_script, scripted_outcomes
+from conftest import random_script, scan_version, scripted_outcomes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stmlib import (
     AbortReason,
@@ -16,7 +18,7 @@ from stmlib import (
 )
 from stmlib.core import Transaction
 from stmlib.oracle import COMMIT, READ, WRITE
-from stmlib.protocols.mvto import MvtoBackend
+from stmlib.protocols.mvto import MvtoBackend, version_index
 
 RETAIN = 10**9
 
@@ -344,3 +346,19 @@ def test_gc_prunes_a_chain_once_the_transaction_pinning_it_ends():
     assert eng.collect() == 3  # the pinned pass put the chain back
     assert eng.object_meta(1)["stamps"] == [4]
     assert eng.collect() == 0
+
+
+@given(stamps=st.lists(st.integers(0, 120), unique=True, max_size=20).map(sorted),
+       ts=st.integers(0, 125))
+@settings(max_examples=300)
+def test_version_index_matches_scan(stamps, ts):
+    assert version_index(stamps, ts) == scan_version(stamps, ts)
+
+
+def test_version_index_boundaries():
+    assert version_index([0], 1) == 0
+    assert version_index([0], 0) == -1
+    assert version_index([0, 3, 7], 5) == 1
+    assert version_index([0, 3, 7], 8) == 2
+    assert version_index([0, 3, 7], 3) == 0
+    assert version_index([], 10) == -1

@@ -3,10 +3,12 @@
 import random
 
 import pytest
-from conftest import random_script, scripted_outcomes
-from test_kernels import closure_has_cycle
+from conftest import closure_has_cycle, closure_on_cycle, random_script, scripted_outcomes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stmlib import AbortReason, BenchConfig, Engine, TransactionAborted, run_benchmark
+from stmlib.protocols.sgt import node_on_cycle
 
 RETAIN = 10**9  # gc period large enough to keep committed nodes around
 
@@ -262,3 +264,18 @@ def test_retained_reader_is_listed_and_draws_edges_until_freed():
     assert eng.commit(late).committed
     assert edges(eng) == set()
     assert eng.object_meta(x)["writers"] == [late.ts]
+
+
+@given(adj=st.dictionaries(st.integers(0, 7), st.frozensets(st.integers(0, 7), max_size=8),
+                           max_size=8),
+       start=st.integers(0, 7))
+@settings(max_examples=300)
+def test_node_on_cycle_matches_closure(adj, start):
+    adj = {k: set(v) for k, v in adj.items()}
+    assert node_on_cycle(adj, start) == closure_on_cycle(adj, start)
+
+
+def test_node_on_cycle_examples():
+    assert node_on_cycle({1: {1}}, 1)
+    assert node_on_cycle({1: {2}, 2: {1}}, 1)
+    assert not node_on_cycle({1: {2}, 2: {3}}, 1)
