@@ -8,6 +8,15 @@ yields a witness order over the committed transactions, and that
 witness can be replayed at the set-operation level to confirm the run
 is equivalent to a sequential execution.
 
+The recorder keeps its log as one flat list, four entries per event
+(`txn, kind, oid, version_ts`), extended under its lock; an event's seq
+is its position.  It builds no object per event while the run goes on,
+because CPython's cyclic collector never stops tracking a NamedTuple
+instance: an `Event` per effect kept every recorded event on every full
+collection for as long as the recorder lived.  `HistoryRecorder.history`
+materialises the `Event` and `OpRecord` objects in one pass when the
+run is over, moving that cost out of the recording path.
+
 The check reads each event once, bucketing commits, aborts, and per
 object its reads and writers.  From those buckets it draws the
 precedence graph straight into successor lists and in-degree counts;
@@ -32,6 +41,7 @@ import threading
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -88,6 +98,16 @@ class Verdict:
 class HistoryRecorder:
     """Thread-safe append-only event log.
 
+    Each event is four consecutive entries of one flat list, `txn, kind,
+    oid, version_ts`, appended under the recorder lock, so the log order
+    is the order of the callers' critical sections; an event's seq is
+    its position, counting from 1.  Set-level outcomes are kept as plain
+    tuples keyed by txn.  The list is one object to the cyclic collector
+    and holds only untracked ints, and a plain tuple of atoms is untracked
+    by the first collection it survives; an `Event` NamedTuple per effect
+    would stay tracked for the recorder's whole life.  `history()` builds
+    the `Event` and `OpRecord` objects once, in one pass.
+
     A disabled recorder turns every record call into an immediate
     return so timing runs pay nothing beyond the flag check.
     """
@@ -96,14 +116,12 @@ class HistoryRecorder:
         self.enabled = enabled
         self.protocol: str | None = None
         self._lock = threading.Lock()
-        self._events: list[Event] = []
-        self._set_ops: dict[int, OpRecord] = {}
-        self._seq = 0
+        self._log: list[int | None] = []  # txn, kind, oid, version_ts per event
+        self._set_ops: dict[int, tuple] = {}  # txn -> OpRecord fields
 
     def _append(self, txn, kind, oid, version_ts):
         with self._lock:
-            self._seq += 1
-            self._events.append(Event(self._seq, txn, txn, kind, oid, version_ts))
+            self._log += (txn, kind, oid, version_ts)
 
     def record_read(self, txn: int, oid: int, observed_ts: int):
         if self.enabled:
@@ -124,27 +142,33 @@ class HistoryRecorder:
     def note_set_op(self, txn: int, kind: str, key, applied: bool, payload=None):
         if self.enabled:
             with self._lock:
-                self._set_ops[txn] = OpRecord(kind, key, applied, payload)
+                self._set_ops[txn] = (kind, key, applied, payload)
 
     def __len__(self):
-        return len(self._events)
+        return len(self._log) // 4
 
     def history(self) -> History:
+        """The log so far as `Event`s with seqs 1..n, and its `OpRecord`s."""
         with self._lock:
-            return History(
-                events=list(self._events),
-                set_ops=dict(self._set_ops),
-                protocol=self.protocol,
-            )
+            log = self._log
+            txns, kinds, oids, versions = log[0::4], log[1::4], log[2::4], log[3::4]
+            set_ops = dict(self._set_ops)
+        new = tuple.__new__  # what Event._make calls, without its length check
+        return History(
+            events=list(map(new, repeat(Event), zip(count(1), txns, txns, kinds, oids, versions))),
+            set_ops={txn: new(OpRecord, fields) for txn, fields in set_ops.items()},
+            protocol=self.protocol,
+        )
 
 
 def _precedence_graph(events: list[Event], multiversion: bool):
     """Successor lists and in-degrees over the committed transactions.
 
     One scan buckets the events: the commit seq of each committed txn,
-    the aborted txns, and per object its reads `(seq, txn, version_ts)`
-    and its writers.  Aborted transactions never published an effect
-    and draw no edge.
+    the aborted txns, and per object its read events and its writers.
+    A read goes into its bucket as the `Event` itself, so bucketing
+    allocates nothing per read beyond a list slot.  Aborted transactions
+    never published an effect and draw no edge.
 
     Write-write edges join consecutive committed writers of an object.
     Single-version rules order read effects at their read seq and write
@@ -160,11 +184,12 @@ def _precedence_graph(events: list[Event], multiversion: bool):
     """
     commit_seq: dict[int, int] = {}
     aborted: set[int] = set()
-    reads: defaultdict[int, list] = defaultdict(list)
+    reads: defaultdict[int, list[Event]] = defaultdict(list)
     writers: defaultdict[int, set[int]] = defaultdict(set)
-    for seq, txn, _ts, kind, oid, version_ts in events:
+    for e in events:
+        seq, txn, _ts, kind, oid, _version_ts = e
         if kind == READ:
-            reads[oid].append((seq, txn, version_ts))
+            reads[oid].append(e)
         elif kind == WRITE:
             writers[oid].add(txn)
         elif kind == COMMIT:
@@ -190,7 +215,7 @@ def _precedence_graph(events: list[Event], multiversion: bool):
             succ[a].append(b)
             indeg[b] += 1
         n = len(ws)
-        for rseq, reader, version_ts in reads.get(oid, ()):
+        for rseq, reader, _ts, _kind, _oid, version_ts in reads.get(oid, ()):
             if reader not in commit_seq:
                 continue
             if multiversion:
@@ -308,12 +333,17 @@ def save_trace(history: History, path):
 def load_trace(path) -> History:
     """Read a trace written by save_trace.
 
-    A line with a non-integer field or fewer than five fields raises
-    ValueError naming path:line.
+    A line with a non-ASCII byte, a non-integer field, fewer than five
+    fields or an event kind outside 0..3 raises ValueError naming
+    path:line.
     """
     history = History()
-    with open(path, "r", encoding="ascii") as fh:
+    # Undecodable bytes become lone surrogates, so the line that holds
+    # one can be named instead of failing somewhere in a read-ahead chunk.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                raise ValueError(f"{path}:{lineno}: non-ASCII byte")
             line = line.strip()
             if not line:
                 continue
@@ -328,6 +358,8 @@ def load_trace(path) -> History:
             if len(parts) < 5:
                 raise ValueError(f"{path}:{lineno}: {len(parts)} fields, expected at least 5")
             seq, txn, ts, kind, oid = parts[:5]
+            if kind not in _KIND_NAMES:
+                raise ValueError(f"{path}:{lineno}: unknown event kind {kind}, expected 0..3")
             version_ts = parts[5] if len(parts) > 5 else None
             history.events.append(Event(seq, txn, ts, kind, oid, version_ts))
     return history

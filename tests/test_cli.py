@@ -117,11 +117,16 @@ def test_check_multiversion_flag_changes_the_rules(tmp_path, capsys):
     ("1 1 1 0 5\nnot a line\n", "run.trace:2: non-integer field"),
     ("1 1 1 0 5\n2 1 1\n", "run.trace:2: 3 fields"),
     ("1 1 1 0 5 0\n", "never terminated"),
-], ids=["missing-file", "non-integer-field", "short-line", "incomplete-history"])
+    ("1 1 1 9 5\n1 1 1 2 0\n", "run.trace:1: unknown event kind 9"),
+    # Far past the text reader's first read-ahead chunk.
+    ("".join(f"{i} {i} {i} 2 0\n" for i in range(1, 3000)) + "3000 3000 3000 2 0 caf\u00e9\n",
+     "run.trace:3000: non-ASCII byte"),
+], ids=["missing-file", "non-integer-field", "short-line", "incomplete-history",
+        "unknown-kind", "non-ascii"])
 def test_check_bad_trace_is_an_error(tmp_path, capsys, content, message):
     trace = tmp_path / "run.trace"
     if content is not None:
-        trace.write_text(content)
+        trace.write_text(content, encoding="utf-8")
     code = main(["check", "--trace", str(trace)])
     assert code == 2
     err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Checker and replay oracles, cross-checked against brute force."""
 
+import gc
 import random
+import sys
 import threading
 
 import pytest
@@ -23,7 +25,7 @@ from stmlib import (
     run_benchmark,
     save_trace,
 )
-from stmlib.oracle import ABORT, COMMIT, READ, WRITE, History, OpRecord
+from stmlib.oracle import ABORT, COMMIT, READ, WRITE, Event, History, OpRecord
 
 
 def test_lost_update_is_not_serializable():
@@ -355,6 +357,56 @@ def test_trace_format_is_stable(tmp_path):
     assert path.read_text() == "# protocol=bto\n1 1 1 0 2 0\n2 1 1 2 0\n"
 
 
+def test_recorded_history_keeps_the_event_fields():
+    rec = HistoryRecorder()
+    rec.protocol = "bto"
+    rec.record_read(7, 3, 0)
+    rec.record_write_intent(7, 3)
+    rec.record_read(8, 3, 0)
+    rec.note_set_op(7, "add", 3, True)
+    rec.record_commit(7)
+    rec.record_abort(8)
+    rec.note_set_op(9, "snapshot", None, True, (3,))
+    h = rec.history()
+    assert h.events == [
+        Event(1, 7, 7, READ, 3, 0),
+        Event(2, 7, 7, WRITE, 3, None),
+        Event(3, 8, 8, READ, 3, 0),
+        Event(4, 7, 7, COMMIT, 0, None),
+        Event(5, 8, 8, ABORT, 0, None),
+    ]
+    assert all(type(e) is Event for e in h.events)
+    assert h.set_ops == {
+        7: OpRecord("add", 3, True, None),
+        9: OpRecord("snapshot", None, True, (3,)),
+    }
+    assert all(type(op) is OpRecord for op in h.set_ops.values())
+    assert h.protocol == "bto" and len(rec) == 5
+    # A history is a snapshot: recording goes on after it, seqs continue.
+    h.events.clear()
+    rec.record_commit(9)
+    assert rec.history().events[-1] == Event(6, 9, 9, COMMIT, 0, None)
+    assert len(rec) == 6
+
+
+def test_recording_tracks_no_object_per_event():
+    rec = HistoryRecorder()
+    rec.record_read(1, 1, 0)
+    rec.note_set_op(1, "add", 1, True)
+    gc.collect()
+    before = len(gc.get_objects())
+    for txn in range(2, 5002):
+        rec.record_read(txn, 7, txn - 1)
+        rec.record_write_intent(txn, 7)
+        rec.record_commit(txn)
+        rec.note_set_op(txn, "add", txn, True)
+        rec.record_abort(txn + 100_000)
+    gc.collect()
+    assert len(rec) == 20_001
+    # 20,000 events and 5,000 set ops, none left for the collector to walk.
+    assert len(gc.get_objects()) - before < 100
+
+
 def test_disabled_recorder_records_nothing():
     rec = HistoryRecorder(enabled=False)
     rec.record_read(1, 1, 0)
@@ -381,3 +433,33 @@ def test_concurrent_recording_keeps_seq_dense():
         t.join()
     seqs = [e.seq for e in rec.history().events]
     assert seqs == list(range(1, n * per + 1))
+
+
+def test_concurrent_recording_keeps_each_thread_in_order():
+    rec = HistoryRecorder()
+    n, per = 4, 20_000  # long enough for the threads to interleave hundreds of times
+    switch = sys.getswitchinterval()
+    start = threading.Barrier(n)
+
+    def pound(txn):
+        start.wait()
+        for i in range(per):
+            rec.record_read(txn, i, i)
+            rec.record_write_intent(txn, i)
+
+    threads = [threading.Thread(target=pound, args=(t,)) for t in range(1, n + 1)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    events = rec.history().events
+    assert [e.seq for e in events] == list(range(1, 2 * n * per + 1))
+    assert sum(a.txn != b.txn for a, b in zip(events, events[1:])) > n
+    for txn in range(1, n + 1):
+        mine = [(e.kind, e.oid, e.version_ts) for e in events if e.txn == txn]
+        assert mine == [f for i in range(per) for f in ((READ, i, i), (WRITE, i, None))]
