@@ -16,9 +16,8 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AbortReason, TransactionAborted, TxnNotLive
+from .errors import AbortReason, NotFound, TxnNotLive
 from .protocols import make_backend
-from .protocols.base import ProtocolRefused
 
 
 class TxnStatus(Enum):
@@ -93,18 +92,20 @@ class Engine:
             return read_set[oid]
         try:
             value = read_set[oid] = self.backend.on_read(txn, oid)
-        except ProtocolRefused as refusal:
-            self._retire(txn, TxnStatus.ABORTED)
-            raise TransactionAborted(refusal.reason) from None
         except BaseException:
-            # NotFound, NoVisibleVersion or anything else: the
-            # transaction cannot go on, so it leaves the live set here
+            # a refusal, NotFound or anything else: the transaction
+            # cannot go on, so it leaves the live set here
             self._retire(txn, TxnStatus.ABORTED)
             raise
         return value
 
     def write(self, txn: Transaction, oid: int, value):
         self._require_live(txn)
+        # only ids new_object_id handed out: a commit would create any
+        # other id, which a later new_object_id would hand out again
+        if type(oid) is not int or not 0 < oid < self._next_oid:
+            self._retire(txn, TxnStatus.ABORTED)
+            raise NotFound(f"object {oid!r}")
         txn.write_set[oid] = value
         if self.recorder is not None:
             self.recorder.record_write_intent(txn.ts, oid)

@@ -1,10 +1,10 @@
 """Shared pieces of the protocol backends.
 
 A backend owns the shared object store and every lock that guards it.
-The engine calls, per transaction: on_begin, on_read (which may raise
-ProtocolRefused), commit (returning None or an AbortReason, after
-cleaning up the transaction's protocol state either way) and on_abort
-for voluntary or read-path aborts.
+The engine calls, per transaction: on_begin, on_read (which raises
+TransactionAborted to refuse the read), commit (returning None or an
+AbortReason, after cleaning up the transaction's protocol state either
+way) and on_abort for voluntary or read-path aborts.
 
 Backends log read and commit events into the engine's recorder from
 inside their own critical sections, so that the recorded sequence
@@ -15,15 +15,9 @@ each record call into an immediate return.
 
 from __future__ import annotations
 
-from ..errors import AbortReason
+import threading
 
-
-class ProtocolRefused(Exception):
-    """Internal signal: the protocol vetoed a read."""
-
-    def __init__(self, reason: AbortReason):
-        self.reason = reason
-        super().__init__(reason.value)
+from ..errors import NotFound
 
 
 class BackendBase:
@@ -36,13 +30,84 @@ class BackendBase:
     def attach(self, engine):
         self.engine = engine
 
-    # subclasses must provide:
-    #   on_begin(txn) / on_read(txn, oid) / commit(txn) / on_abort(txn)
-    #   seed(oid, value) / read_committed(oid)
-    #   object_count() / object_meta(oid) / collect(min_active_ts)
+    # subclasses provide on_read, commit, seed, read_committed,
+    # object_count and object_meta
 
     def on_begin(self, txn):
         pass
 
+    def on_abort(self, txn):
+        pass
+
     def collect(self, min_active_ts: int) -> int:
         return 0
+
+
+class LockedStore(BackendBase):
+    """Entries with one lock each, and the commit bto and mvto share.
+
+    Subclasses set `entry_type` and `refusal`, the AbortReason of a
+    failed validation.  An entry is built as `entry_type(stamp, value)`,
+    stamp 0 when seeded, and provides `lock`, `admits(ts)` and
+    `install(ts, value)`.  A writing commit locks its existing entries
+    in ascending oid order, tests each with `admits` before it installs
+    into any, and records the commit before it releases the locks; the
+    entries it creates are still private to it until `_publish` adds
+    them to the store.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._store: dict = {}
+        self._store_lock = threading.Lock()
+
+    def seed(self, oid: int, value):
+        with self._store_lock:
+            self._store[oid] = self.entry_type(0, value)
+
+    def object_count(self) -> int:
+        return len(self._store)
+
+    def _entry(self, oid: int):
+        entry = self._store.get(oid)
+        if entry is None:
+            raise NotFound(f"object {oid}")
+        return entry
+
+    def commit(self, txn):
+        ts = txn.ts
+        write_set = txn.write_set
+        rec = self.engine.recorder
+        if not write_set:
+            if rec is not None:
+                rec.record_commit(ts)
+            return None
+        existing = []
+        fresh = []
+        for oid in sorted(write_set):
+            entry = self._store.get(oid)
+            if entry is None:
+                fresh.append((oid, self.entry_type(ts, write_set[oid])))
+            else:
+                existing.append((oid, entry))
+        for _, entry in existing:
+            entry.lock.acquire()
+        try:
+            for _, entry in existing:
+                if not entry.admits(ts):
+                    return self.refusal
+            for oid, entry in existing:
+                entry.install(ts, write_set[oid])
+            self._publish(existing, fresh)
+            if rec is not None:
+                rec.record_commit(ts)
+            return None
+        finally:
+            for _, entry in existing:
+                entry.lock.release()
+
+    def _publish(self, existing, fresh):
+        """Add the commit's fresh (oid, entry) pairs to the store."""
+        if fresh:
+            with self._store_lock:
+                self._store.update(fresh)

@@ -6,6 +6,8 @@ than the reader and raises that version's reader stamp.  A commit may
 only slot a new version between a predecessor and its readers when no
 reader younger than the writer has already seen the predecessor;
 otherwise the version would arrive too late and the writer aborts.
+An abort leaves the reader stamps it raised in place: such a phantom
+reader only costs a later writer a retry.
 
 Old versions are pruned once no live transaction can reach them: the
 newest version below the oldest active stamp stays, everything older
@@ -26,7 +28,7 @@ import threading
 from bisect import bisect_left
 
 from ..errors import AbortReason, NotFound, NoVisibleVersion
-from .base import BackendBase
+from .base import LockedStore
 
 
 def version_index(stamps, ts):
@@ -46,20 +48,28 @@ class _Chain:
         self.values = [value]
         self.max_readers = [0]
 
+    def admits(self, ts):
+        # the predecessor's readers must all be older than the incoming
+        # version, or they read the wrong value
+        i = version_index(self.stamps, ts)
+        return i < 0 or self.max_readers[i] <= ts
 
-class MvtoBackend(BackendBase):
+    def install(self, ts, value):
+        i = version_index(self.stamps, ts) + 1
+        self.stamps.insert(i, ts)
+        self.values.insert(i, value)
+        self.max_readers.insert(i, 0)
+
+
+class MvtoBackend(LockedStore):
     name = "mvto"
     default_gc_period = 256
+    entry_type = _Chain
+    refusal = AbortReason.OBSOLETE_VERSION
 
     def __init__(self):
         super().__init__()
-        self._store: dict[int, _Chain] = {}
-        self._store_lock = threading.Lock()
         self._grown: set[int] = set()  # oids of chains that may hold old versions
-
-    def seed(self, oid: int, value):
-        with self._store_lock:
-            self._store[oid] = _Chain(0, value)
 
     def on_read(self, txn, oid: int):
         chain = self._store.get(oid)
@@ -78,48 +88,10 @@ class MvtoBackend(BackendBase):
                 rec.record_read(ts, oid, chain.stamps[i])
             return chain.values[i]
 
-    def commit(self, txn):
-        ts = txn.ts
-        rec = self.engine.recorder
-        if not txn.write_set:
-            if rec is not None:
-                rec.record_commit(ts)
-            return None
-        existing = []
-        fresh = []
-        for oid in sorted(txn.write_set):
-            chain = self._store.get(oid)
-            if chain is None:
-                fresh.append(oid)
-            else:
-                existing.append((oid, chain))
-        for _, chain in existing:
-            chain.lock.acquire()
-        try:
-            for _, chain in existing:
-                i = version_index(chain.stamps, ts)
-                # the predecessor's readers must all be older than the
-                # incoming version, or they read the wrong value
-                if i >= 0 and chain.max_readers[i] > ts:
-                    return AbortReason.OBSOLETE_VERSION
-            for oid, chain in existing:
-                i = version_index(chain.stamps, ts) + 1
-                chain.stamps.insert(i, ts)
-                chain.values.insert(i, txn.write_set[oid])
-                chain.max_readers.insert(i, 0)
-            with self._store_lock:
-                self._grown.update(oid for oid, _ in existing)
-                for oid in fresh:
-                    self._store[oid] = _Chain(ts, txn.write_set[oid])
-            if rec is not None:
-                rec.record_commit(ts)
-            return None
-        finally:
-            for _, chain in existing:
-                chain.lock.release()
-
-    def on_abort(self, txn):
-        pass  # reader stamps stay; a phantom reader only costs a writer retry
+    def _publish(self, existing, fresh):
+        with self._store_lock:
+            self._grown.update(oid for oid, _ in existing)
+            self._store.update(fresh)
 
     def collect(self, min_active_ts: int) -> int:
         pruned = 0
@@ -143,19 +115,12 @@ class MvtoBackend(BackendBase):
         return pruned
 
     def read_committed(self, oid: int):
-        chain = self._store.get(oid)
-        if chain is None:
-            raise NotFound(f"object {oid}")
+        chain = self._entry(oid)
         with chain.lock:
             return chain.values[-1]
 
-    def object_count(self) -> int:
-        return len(self._store)
-
     def object_meta(self, oid: int) -> dict:
-        chain = self._store.get(oid)
-        if chain is None:
-            raise NotFound(f"object {oid}")
+        chain = self._entry(oid)
         with chain.lock:
             return {
                 "stamps": list(chain.stamps),

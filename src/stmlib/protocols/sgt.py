@@ -24,18 +24,32 @@ doing it, so a live transaction gains an out-edge only when another
 transaction's commit overwrites an object it has read, and most reads
 skip the search.
 
+The graph keeps out-edges only.  Unlinking a node drops its out-edges,
+reads and writer marks, and leaves each edge into it behind as a stale
+id.  Edges start at resident nodes and end at the live transaction
+acting, and stamps are never reused, so no stale id names a node again:
+the cycle search reads it as a node with no successors, and every
+verdict is the one eager edge removal gives.  A live node's out-edges
+point only to committed resident nodes or to committers aborted on a
+cycle, as a committed node stays resident while any transaction that
+overlapped its commit is live (below).  So the out-edge skip holds: a
+stale id can only let through a search that eager removal would have
+skipped, and that search visits the id and reports no cycle.
+
 Committed nodes cannot be dropped immediately: a transaction that
 overlapped one may still pick up an edge through it.  A commit C
-therefore queues its node with a tag, the engine's next begin stamp
-read under the graph lock, and the collector frees queued nodes from
-the front while their tag is at most the engine's oldest active stamp.
-Every transaction live at C's commit has already taken its stamp, so
-that stamp is below C's tag, and it stays in the engine's live set
-until it has terminated here.  The engine's live set thus contains the
-graph's live nodes, and C is freed only once every transaction that
-overlapped its commit has ended; a collector that reads a stale oldest
-stamp frees less, never more.  Tags grow in commit order, so the queue
-is sorted by tag and a pass costs only what it frees.
+therefore queues its node and write set with a tag, the engine's next
+begin stamp read under the graph lock, and the collector frees queued
+nodes from the front while their tag is at most the engine's oldest
+active stamp.  Every transaction live at C's commit has already taken
+its stamp, so that stamp is below C's tag, and it stays in the engine's
+live set until it has terminated here.  The engine's live set thus
+contains the graph's live nodes, and C is freed only once every
+transaction that overlapped its commit has ended; a collector that
+reads a stale oldest stamp frees less, never more.  Tags grow in commit
+order, so the queue is sorted by tag and a pass costs only what it
+frees.  The queue holds exactly the committed resident nodes, so a
+begin draws its real-time edges by walking it.
 
 The cycle search stays the module-level function `node_on_cycle`,
 looked up as a module global, because the traced benchmark wraps it by
@@ -47,11 +61,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from ..errors import AbortReason, NotFound
-from .base import BackendBase, ProtocolRefused
-
-_LIVE = 0
-_COMMITTED = 1
+from ..errors import AbortReason, NotFound, TransactionAborted
+from .base import BackendBase
 
 
 def node_on_cycle(adj, start):
@@ -92,25 +103,20 @@ class SgtBackend(BackendBase):
         super().__init__()
         self._glock = threading.Lock()
         self._store: dict[int, _Entry] = {}
-        self._out: dict[int, set[int]] = {}
-        self._in: dict[int, set[int]] = {}
-        self._status: dict[int, int] = {}
-        self._retired: deque[tuple[int, int]] = deque()  # (tag, ts), commit order
+        self._out: dict[int, set[int]] = {}  # keyed by every graph-resident node
         self._reads_of: dict[int, set[int]] = {}  # keyed by every graph-resident node
-        self._writes_of: dict[int, set[int]] = {}
+        self._retired: deque[tuple[int, int, dict]] = deque()  # (tag, ts, write set), commit order
 
     # -- engine hooks -------------------------------------------------
 
     def on_begin(self, txn):
         ts = txn.ts
         with self._glock:
-            self._out[ts] = set()
-            self._in[ts] = set()
+            out = self._out
+            for _, node, _ in self._retired:
+                out[node].add(ts)
+            out[ts] = set()
             self._reads_of[ts] = set()
-            for node, status in self._status.items():
-                if status == _COMMITTED:
-                    self._add_edge(node, ts)
-            self._status[ts] = _LIVE
 
     def on_read(self, txn, oid: int):
         ts = txn.ts
@@ -118,12 +124,13 @@ class SgtBackend(BackendBase):
             entry = self._store.get(oid)
             if entry is None:
                 raise NotFound(f"object {oid}")
+            out = self._out
             for writer in entry.writers:
                 if writer != ts:
-                    self._add_edge(writer, ts)
-            if self._out[ts] and node_on_cycle(self._out, ts):
+                    out[writer].add(ts)
+            if out[ts] and node_on_cycle(out, ts):
                 self._unlink(ts)
-                raise ProtocolRefused(AbortReason.CYCLE_DETECTED)
+                raise TransactionAborted(AbortReason.CYCLE_DETECTED)
             self._reads_of[ts].add(oid)
             rec = self.engine.recorder
             if rec is not None:
@@ -134,20 +141,20 @@ class SgtBackend(BackendBase):
         ts = txn.ts
         write_set = txn.write_set
         with self._glock:
+            out = self._out
             for reader, reads in self._reads_of.items():
                 if reader != ts and not reads.isdisjoint(write_set):
-                    self._add_edge(reader, ts)
+                    out[reader].add(ts)
             for oid in write_set:
                 entry = self._store.get(oid)
                 if entry is None:
                     continue  # fresh object, no conflicts possible
                 for writer in entry.writers:
                     if writer != ts:
-                        self._add_edge(writer, ts)
-            if self._out[ts] and node_on_cycle(self._out, ts):
+                        out[writer].add(ts)
+            if out[ts] and node_on_cycle(out, ts):
                 self._unlink(ts)
                 return AbortReason.CYCLE_DETECTED
-            writes = self._writes_of.setdefault(ts, set())
             for oid, value in write_set.items():
                 entry = self._store.get(oid)
                 if entry is None:
@@ -156,9 +163,7 @@ class SgtBackend(BackendBase):
                 entry.value = value
                 entry.writer_ts = ts
                 entry.writers.add(ts)
-                writes.add(oid)
-            self._status[ts] = _COMMITTED
-            self._retired.append((self.engine._next_ts, ts))
+            self._retired.append((self.engine._next_ts, ts, write_set))
             rec = self.engine.recorder
             if rec is not None:
                 rec.record_commit(ts)
@@ -170,27 +175,20 @@ class SgtBackend(BackendBase):
 
     # -- graph maintenance --------------------------------------------
 
-    def _add_edge(self, a: int, b: int):
-        self._out[a].add(b)
-        self._in[b].add(a)
-
     def _unlink(self, ts: int):
-        """Remove a node, its edges, reads and writer marks; absent is fine."""
-        for pred in self._in.pop(ts, ()):
-            self._out[pred].discard(ts)
-        for succ in self._out.pop(ts, ()):
-            self._in[succ].discard(ts)
-        self._status.pop(ts, None)
+        """Remove a node's out-edges and reads; absent is fine."""
+        self._out.pop(ts, None)
         self._reads_of.pop(ts, None)
-        for oid in self._writes_of.pop(ts, ()):
-            self._store[oid].writers.discard(ts)
 
     def collect(self, min_active_ts: int) -> int:
         freed = 0
         with self._glock:
             retired = self._retired
             while retired and retired[0][0] <= min_active_ts:
-                self._unlink(retired.popleft()[1])
+                _, ts, write_set = retired.popleft()
+                self._unlink(ts)
+                for oid in write_set:
+                    self._store[oid].writers.discard(ts)
                 freed += 1
         return freed
 
@@ -227,8 +225,10 @@ class SgtBackend(BackendBase):
 
     def graph_size(self) -> int:
         with self._glock:
-            return len(self._status)
+            return len(self._out)
 
     def graph_snapshot(self) -> dict[int, list[int]]:
+        """Out-edges of every graph-resident node, stale ids left out."""
         with self._glock:
-            return {ts: sorted(succ) for ts, succ in self._out.items()}
+            out = self._out
+            return {ts: sorted(n for n in succ if n in out) for ts, succ in out.items()}

@@ -7,7 +7,9 @@ order makes every read observe exactly the writer stamp it recorded;
 the multiversion one iff some serial order respects version (stamp)
 order and places every read between the version it saw and the next.
 The kernel references are just as naive: a linear scan for version
-selection and a Floyd-Warshall closure for cycle checks.
+selection and a Floyd-Warshall closure for cycle checks.  So is the
+reference serialization graph tester, `NaiveSgt`: an edge set with
+eager removal that never frees a committed node.
 """
 
 from __future__ import annotations
@@ -284,9 +286,76 @@ def closure_has_cycle(adj):
     return any(reach[i][i] for i in range(len(nodes)))
 
 
+class NaiveSgt:
+    """Reference serialization graph tester for (slot, action, oid) steps.
+
+    An edge set with eager removal, every committed node retained, and
+    cycles found by the Floyd-Warshall closure.  Steps mean what they
+    mean to `scripted_outcomes`, whose labels `step` returns, and a
+    transaction's repeat read of an object it has read or written draws
+    no edge, as the engine serves it from the transaction's own log.
+    """
+
+    def __init__(self):
+        self.nodes = set()  # live and committed transactions
+        self.edges = set()  # (from, to)
+        self.committed = set()
+        self.reads = {}  # node -> objects it read
+        self.writers = defaultdict(set)  # oid -> committed writers
+        self.slots = {}  # slot -> (ts, write set) of its live transaction
+        self.next_ts = 1
+
+    def snapshot(self):
+        """The graph in the shape of SgtBackend.graph_snapshot()."""
+        return {n: sorted(b for a, b in self.edges if a == n) for n in self.nodes}
+
+    def _admit(self, ts, preds):
+        """Draw edges preds -> ts; on a cycle drop ts and return False."""
+        self.edges |= {(p, ts) for p in preds if p != ts}
+        adj = defaultdict(set)
+        for a, b in self.edges:
+            adj[a].add(b)
+        if not closure_on_cycle(adj, ts):
+            return True
+        self.nodes.discard(ts)
+        del self.reads[ts]
+        self.edges = {(a, b) for a, b in self.edges if ts not in (a, b)}
+        return False
+
+    def step(self, slot, action, oid) -> str:
+        if slot not in self.slots:
+            ts = self.next_ts
+            self.next_ts += 1
+            self.nodes.add(ts)
+            self.reads[ts] = set()
+            self.edges |= {(c, ts) for c in self.committed}
+            self.slots[slot] = (ts, set())
+        ts, writes = self.slots[slot]
+        if action == "commit":
+            del self.slots[slot]
+            preds = {r for r, objs in self.reads.items() if objs & writes}
+            for w in writes:
+                preds |= self.writers[w]
+            if not self._admit(ts, preds):
+                return "cycle_detected"
+            for w in writes:
+                self.writers[w].add(ts)
+            self.committed.add(ts)
+            return "commit"
+        if oid not in self.reads[ts] and oid not in writes:
+            if not self._admit(ts, self.writers[oid]):
+                del self.slots[slot]
+                return "cycle_detected"
+            self.reads[ts].add(oid)
+        if action == "write":
+            writes.add(oid)
+        return "ok"
+
+
 __all__ = [
     "ABORT",
     "COMMIT",
+    "NaiveSgt",
     "PROTOCOLS",
     "READ",
     "WRITE",

@@ -2,10 +2,10 @@
 
 import pytest
 
-from stmlib import AbortReason, BenchConfig, Engine, run_benchmark
+from stmlib import AbortReason, BenchConfig, Engine, TransactionAborted, run_benchmark
 from stmlib.core import Transaction
 from stmlib.oracle import READ
-from stmlib.protocols.base import ProtocolRefused
+from stmlib.protocols import make_backend
 from stmlib.protocols.bto import BtoBackend
 
 
@@ -38,7 +38,7 @@ def drive_read(backend, ts):
     try:
         backend.on_read(txn, 1)
         return "ok"
-    except ProtocolRefused as refusal:
+    except TransactionAborted as refusal:
         assert refusal.reason is AbortReason.STALE_READ
         return "abort"
 
@@ -98,20 +98,36 @@ def test_max_read_keeps_the_maximum():
     assert backend.object_meta(1)["max_read"] == 5
 
 
-def test_commit_validation_is_all_or_nothing():
-    backend = BtoBackend()
-    backend.attach(Engine("bto"))
+def rig_refusal(backend, oid, ts):
+    """Make a commit at ts refuse to write oid."""
+    entry = backend._store[oid]
+    if isinstance(backend, BtoBackend):
+        entry.max_write = ts + 2
+    else:
+        entry.max_readers[0] = ts + 2  # a younger reader saw the predecessor
+
+
+@pytest.mark.parametrize("protocol, reason", [
+    ("bto", AbortReason.STALE_WRITE),
+    ("mvto", AbortReason.OBSOLETE_VERSION),
+], ids=["bto", "mvto"])
+def test_commit_validation_is_all_or_nothing(protocol, reason):
+    backend = make_backend(protocol)
+    backend.attach(Engine(protocol))
     backend.seed(1, "x0")
     backend.seed(2, "y0")
-    backend._store[2].max_write = 7
+    backend.seed(3, "z0")
+    rig_refusal(backend, 2, 5)
+    before = {oid: backend.object_meta(oid) for oid in (1, 2, 3)}
     txn = Transaction(5)
     txn.write_set[1] = "x1"
     txn.write_set[2] = "y1"
-    assert backend.commit(txn) is AbortReason.STALE_WRITE
-    assert backend.object_meta(1) == {
-        "value": "x0", "writer_ts": 0, "max_read": 0, "max_write": 0,
-    }
-    assert backend.object_meta(2)["value"] == "y0"
+    txn.write_set[3] = "z1"
+    txn.write_set[4] = "fresh"
+    assert backend.commit(txn) is reason
+    assert {oid: backend.object_meta(oid) for oid in (1, 2, 3)} == before
+    assert backend.object_count() == 3  # the fresh object was not created
+    assert not any(entry.lock.locked() for entry in backend._store.values())
 
 
 def test_lost_update_schedule_aborts_the_late_writer():

@@ -115,6 +115,26 @@ def test_read_unknown_object(protocol):
     assert eng.min_active_ts() == txn.ts + 1  # nothing left live
 
 
+@pytest.mark.parametrize("oid", [3, 0, "x"])
+def test_write_to_an_id_never_handed_out(protocol, oid):
+    eng = Engine(protocol)
+    seeded = eng.seed_object("seed")
+    txn = eng.begin()
+    eng.write(txn, seeded, "mine")
+    with pytest.raises(NotFound):
+        eng.write(txn, oid, "stray")
+    assert txn.status is TxnStatus.ABORTED
+    assert eng.min_active_ts() == txn.ts + 1  # nothing left live
+    assert eng.read_committed(seeded) == "seed"
+    assert eng.object_count() == 1
+    fresh = [eng.new_object_id() for _ in range(3)]
+    assert fresh == [2, 3, 4]
+    txn = eng.begin()
+    eng.write(txn, fresh[1], "mine")
+    assert eng.commit(txn).committed
+    assert eng.read_committed(fresh[1]) == "mine"
+
+
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
         Engine("2pl")

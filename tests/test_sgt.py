@@ -3,7 +3,13 @@
 import random
 
 import pytest
-from conftest import closure_has_cycle, closure_on_cycle, random_script, scripted_outcomes
+from conftest import (
+    NaiveSgt,
+    closure_has_cycle,
+    closure_on_cycle,
+    random_script,
+    scripted_outcomes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,13 +183,13 @@ def test_gc_never_changes_decisions():
 
 def _steps(eng, script):
     """Run (slot, action, oid) steps, yielding after each one its
-    transaction and whether the step committed it."""
+    transaction and the label scripted_outcomes gives the step."""
     txns = {}
     for slot, action, oid in script:
         txn = txns.get(slot)
         if txn is None or txn.status.value != "live":
             txn = txns[slot] = eng.begin()
-        committed = False
+        label = "ok"
         try:
             if action == "read":
                 eng.read(txn, oid)
@@ -191,10 +197,25 @@ def _steps(eng, script):
                 eng.read(txn, oid)
                 eng.write(txn, oid, 1)
             else:
-                committed = eng.commit(txn).committed
-        except TransactionAborted:
-            pass
-        yield txn, committed
+                result = eng.commit(txn)
+                label = "commit" if result.committed else result.reason.value
+        except TransactionAborted as exc:
+            label = exc.reason.value
+        yield txn, label
+
+
+def test_stale_edge_graph_matches_a_naive_reference():
+    rng = random.Random(67)
+    aborts = 0
+    for _ in range(60):
+        script = random_script(rng)
+        ref = NaiveSgt()
+        eng = _seeded(RETAIN)
+        for step, (_, label) in zip(script, _steps(eng, script)):
+            assert label == ref.step(*step), script
+            assert graph(eng) == ref.snapshot(), script
+            aborts += label == "cycle_detected"
+    assert aborts  # the scripts did exercise the abort paths
 
 
 def test_graph_stays_acyclic_after_every_operation():
@@ -234,9 +255,9 @@ def test_writing_commit_gains_an_in_edge_from_every_resident_reader(gc_period):
     for _ in range(30):
         eng = _seeded(gc_period)
         by_ts = {}
-        for txn, committed in _steps(eng, random_script(rng, steps=40)):
+        for txn, label in _steps(eng, random_script(rng, steps=40)):
             by_ts[txn.ts] = txn
-            if not (committed and txn.write_set):
+            if not (label == "commit" and txn.write_set):
                 continue
             for node, succ in graph(eng).items():
                 if node != txn.ts and not by_ts[node].read_set.keys().isdisjoint(txn.write_set):
