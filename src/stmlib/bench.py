@@ -58,9 +58,6 @@ class BenchConfig:
     fill: float = 0.5
     seed: int = 1
     record_history: bool = False
-    gc_period: int | None = None
-    minimal_writes: bool = False
-    retry_limit: int | None = None
 
     @property
     def key_range(self) -> str:
@@ -85,8 +82,6 @@ class BenchConfig:
             raise ConfigInvalid("key range collides with the sentinels")
         if not 0 <= self.fill <= 1:
             raise ConfigInvalid("fill must lie in [0, 1]")
-        if self.gc_period is not None and self.gc_period < 1:
-            raise ConfigInvalid("gc_period must be >= 1")
 
 
 @dataclass
@@ -149,8 +144,8 @@ def generate_op(rng: random.Random, cfg: BenchConfig):
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     cfg.validate()
     recorder = HistoryRecorder() if cfg.record_history else None
-    engine = Engine(cfg.protocol, recorder=recorder, gc_period=cfg.gc_period)
-    tset = TransactionalSet(engine, minimal_writes=cfg.minimal_writes)
+    engine = Engine(cfg.protocol, recorder=recorder)
+    tset = TransactionalSet(engine)
 
     fill_rng = random.Random(f"{cfg.seed}:fill")
     span = cfg.key_hi - cfg.key_lo + 1
@@ -169,18 +164,16 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         kinds = dict.fromkeys(OP_KINDS, 0)
         try:
             if cfg.ops is not None:
-                for _ in range(cfg.ops):
-                    kind, value = generate_op(rng, cfg)
-                    retries += run_op(engine, tset, kind, value, cfg.retry_limit)[1]
-                    kinds[kind] += 1
-                    done += 1
+                turns = range(cfg.ops)
             else:
                 deadline = wall_clock() + cfg.duration
-                while wall_clock() < deadline:
-                    kind, value = generate_op(rng, cfg)
-                    retries += run_op(engine, tset, kind, value, cfg.retry_limit)[1]
-                    kinds[kind] += 1
-                    done += 1
+                # yields True until the first test past the deadline
+                turns = iter(lambda: wall_clock() < deadline, False)
+            for _ in turns:
+                kind, value = generate_op(rng, cfg)
+                retries += run_op(engine, tset, kind, value)[1]
+                kinds[kind] += 1
+                done += 1
         except BaseException as exc:  # surfaces in the main thread
             results[idx] = exc
             return

@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--plot", metavar="PATH")
     bench.add_argument("--trace", metavar="PATH",
                        help="save the recorded history (needs --record-history)")
-    bench.add_argument("--gc-period", type=int, default=None)
 
     check = sub.add_parser("check", help="verify a saved trace")
     check.add_argument("--trace", required=True, metavar="PATH")
@@ -90,7 +89,6 @@ def cmd_bench(args) -> int:
             fill=args.fill,
             seed=args.seed,
             record_history=args.record_history,
-            gc_period=args.gc_period,
         )
         report = run_benchmark(cfg)
         reports.append(report)

@@ -52,15 +52,12 @@ class CommitResult:
 
 
 class Engine:
-    def __init__(self, protocol: str = "bto", recorder=None, gc_period: int | None = None):
+    def __init__(self, protocol: str = "bto", recorder=None):
         self.protocol = protocol
         self.backend = make_backend(protocol)
         self.recorder = recorder
         if recorder is not None:
             recorder.protocol = protocol
-        if gc_period is None:
-            gc_period = self.backend.default_gc_period
-        self.gc_period = gc_period
         self._meta_lock = threading.Lock()  # guards stamps, live set, oid counter
         self._next_ts = 1
         self._next_oid = 1
@@ -84,17 +81,17 @@ class Engine:
         # and the write set is probed only once the transaction has one.
         if txn.status is not _LIVE:
             self._require_live(txn)
-        write_set = txn.write_set
-        if write_set and oid in write_set:
-            return write_set[oid]
-        read_set = txn.read_set
-        if oid in read_set:
-            return read_set[oid]
         try:
+            write_set = txn.write_set
+            if write_set and oid in write_set:
+                return write_set[oid]
+            read_set = txn.read_set
+            if oid in read_set:
+                return read_set[oid]
             value = read_set[oid] = self.backend.on_read(txn, oid)
         except BaseException:
-            # a refusal, NotFound or anything else: the transaction
-            # cannot go on, so it leaves the live set here
+            # a refusal, NotFound, an unhashable id or anything else:
+            # the transaction cannot go on, so it leaves the live set here
             self._retire(txn, TxnStatus.ABORTED)
             raise
         return value
@@ -176,12 +173,15 @@ class Engine:
         return self.backend.collect(self.min_active_ts())
 
     def _count_commit(self):
-        if self.gc_period is None:
+        # The pass goes through the instance attribute, so a wrapper or a
+        # stand-in set on the engine sees every automatic pass.
+        period = self.backend.gc_period
+        if period is None:
             return
         run = False
         with self._meta_lock:
             self._commits_since_gc += 1
-            if self._commits_since_gc >= self.gc_period:
+            if self._commits_since_gc >= period:
                 self._commits_since_gc = 0
                 run = True
         if run:

@@ -108,12 +108,11 @@ class HistoryRecorder:
     would stay tracked for the recorder's whole life.  `history()` builds
     the `Event` and `OpRecord` objects once, in one pass.
 
-    A disabled recorder turns every record call into an immediate
-    return so timing runs pay nothing beyond the flag check.
+    To record nothing, attach no recorder: the engine and the backends
+    skip every record call when `Engine.recorder` is None.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.protocol: str | None = None
         self._lock = threading.Lock()
         self._log: list[int | None] = []  # txn, kind, oid, version_ts per event
@@ -124,25 +123,20 @@ class HistoryRecorder:
             self._log += (txn, kind, oid, version_ts)
 
     def record_read(self, txn: int, oid: int, observed_ts: int):
-        if self.enabled:
-            self._append(txn, READ, oid, observed_ts)
+        self._append(txn, READ, oid, observed_ts)
 
     def record_write_intent(self, txn: int, oid: int):
-        if self.enabled:
-            self._append(txn, WRITE, oid, None)
+        self._append(txn, WRITE, oid, None)
 
     def record_commit(self, txn: int):
-        if self.enabled:
-            self._append(txn, COMMIT, 0, None)
+        self._append(txn, COMMIT, 0, None)
 
     def record_abort(self, txn: int):
-        if self.enabled:
-            self._append(txn, ABORT, 0, None)
+        self._append(txn, ABORT, 0, None)
 
     def note_set_op(self, txn: int, kind: str, key, applied: bool, payload=None):
-        if self.enabled:
-            with self._lock:
-                self._set_ops[txn] = (kind, key, applied, payload)
+        with self._lock:
+            self._set_ops[txn] = (kind, key, applied, payload)
 
     def __len__(self):
         return len(self._log) // 4
@@ -334,8 +328,8 @@ def load_trace(path) -> History:
     """Read a trace written by save_trace.
 
     A line with a non-ASCII byte, a non-integer field, fewer than five
-    fields or an event kind outside 0..3 raises ValueError naming
-    path:line.
+    fields or an event kind outside 0..3, and a `# protocol=` header
+    with no name, raise ValueError naming path:line.
     """
     history = History()
     # Undecodable bytes become lone surrogates, so the line that holds
@@ -349,7 +343,10 @@ def load_trace(path) -> History:
                 continue
             if line.startswith("#"):
                 if "protocol=" in line:
-                    history.protocol = line.split("protocol=", 1)[1].split()[0]
+                    name = line.split("protocol=", 1)[1].split()
+                    if not name:
+                        raise ValueError(f"{path}:{lineno}: empty protocol name")
+                    history.protocol = name[0]
                 continue
             try:
                 parts = [int(p) for p in line.split()]

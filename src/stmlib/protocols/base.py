@@ -9,8 +9,8 @@ way) and on_abort for voluntary or read-path aborts.
 Backends log read and commit events into the engine's recorder from
 inside their own critical sections, so that the recorded sequence
 numbers reflect the order the effects actually took on each object.
-They test only that a recorder is attached; a disabled recorder turns
-each record call into an immediate return.
+They test only that a recorder is attached: an engine without one
+records nothing.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from ..errors import NotFound
 
 
 class BackendBase:
-    #: commits between garbage collection passes; None disables gc
-    default_gc_period: int | None = None
+    #: commits between automatic garbage collection passes; None: never
+    gc_period: int | None = None
 
     def __init__(self):
         self.engine = None

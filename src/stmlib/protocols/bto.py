@@ -37,7 +37,6 @@ class _Entry:
 
 class BtoBackend(LockedStore):
     name = "bto"
-    default_gc_period = None  # no per-commit state to collect
     entry_type = _Entry
     refusal = AbortReason.STALE_WRITE
 

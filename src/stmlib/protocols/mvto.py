@@ -63,7 +63,7 @@ class _Chain:
 
 class MvtoBackend(LockedStore):
     name = "mvto"
-    default_gc_period = 256
+    gc_period = 256
     entry_type = _Chain
     refusal = AbortReason.OBSOLETE_VERSION
 

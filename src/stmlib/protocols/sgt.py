@@ -97,7 +97,7 @@ class _Entry:
 
 class SgtBackend(BackendBase):
     name = "sgt"
-    default_gc_period = 1  # stale committed nodes tax every cycle check
+    gc_period = 1  # stale committed nodes tax every cycle check
 
     def __init__(self):
         super().__init__()

@@ -7,8 +7,7 @@ and is harmless to retry.
 
 add and remove rewrite the unchanged node at the splice point as well
 as the nodes they actually modify.  That makes structurally adjacent
-operations conflict on purpose; minimal_writes=True drops the
-redundant rewrites to narrow the conflict surface.
+operations conflict on purpose.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ class SetNode(NamedTuple):
 
 
 class TransactionalSet:
-    def __init__(self, engine, minimal_writes: bool = False):
+    def __init__(self, engine):
         self._engine = engine
-        self._minimal = minimal_writes
         tail = engine.seed_object(SetNode(TAIL_KEY, 0))
         self.head_oid = engine.seed_object(SetNode(HEAD_KEY, tail))
 
@@ -59,8 +57,7 @@ class TransactionalSet:
         new_oid = self._engine.new_object_id()
         self._engine.write(txn, new_oid, SetNode(value, cur_oid))
         self._engine.write(txn, prev_oid, SetNode(prev.value, new_oid))
-        if not self._minimal:
-            self._engine.write(txn, cur_oid, cur)
+        self._engine.write(txn, cur_oid, cur)
         return True
 
     def remove(self, txn, value: int) -> bool:
@@ -69,8 +66,7 @@ class TransactionalSet:
         if cur.value != value:
             return False
         self._engine.write(txn, prev_oid, SetNode(prev.value, cur.next))
-        if not self._minimal:
-            self._engine.write(txn, cur_oid, cur)
+        self._engine.write(txn, cur_oid, cur)
         return True
 
     def contains(self, txn, value: int) -> bool:
@@ -136,11 +132,10 @@ def execute_with_retry(
             backoff(retries)
 
 
-def run_op(engine, tset: TransactionalSet, kind: str, value: int | None = None,
-           retry_limit: int | None = None):
+def run_op(engine, tset: TransactionalSet, kind: str, value: int | None = None):
     """One committed set operation, with its outcome noted for replay.
 
-    Returns (result, retries).
+    Retries until the operation commits.  Returns (result, retries).
     """
     if kind == "add":
         body = lambda txn: tset.add(txn, value)
@@ -152,7 +147,7 @@ def run_op(engine, tset: TransactionalSet, kind: str, value: int | None = None,
         body = tset.snapshot
     else:
         raise ValueError(f"unknown set op {kind!r}")
-    result, retries, ts = execute_with_retry(engine, body, retry_limit)
+    result, retries, ts = execute_with_retry(engine, body)
     rec = engine.recorder
     if rec is not None:
         if kind == "snapshot":

@@ -190,6 +190,16 @@ def random_multiversion_history(rng: random.Random, max_txns: int = 5,
     return History(events=events, protocol="mvto")
 
 
+def keep_resident(eng):
+    """Shadow the engine's automatic collection pass on this instance.
+
+    Committed sgt nodes and mvto versions then stay until the test runs
+    a pass itself with `Engine.collect(eng)`.  Returns the engine.
+    """
+    eng.collect = lambda: 0
+    return eng
+
+
 def scripted_outcomes(eng, script) -> list[str]:
     """Run (slot, action, oid) steps on an engine; label each step.
 
@@ -364,6 +374,7 @@ __all__ = [
     "closure_has_cycle",
     "closure_on_cycle",
     "history_of",
+    "keep_resident",
     "random_multiversion_history",
     "random_script",
     "random_single_version_history",

@@ -66,7 +66,6 @@ def test_update_rate_splits_evenly():
         {"key_lo": HEAD_KEY},
         {"key_hi": TAIL_KEY},
         {"fill": 1.5},
-        {"gc_period": 0},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -141,18 +140,6 @@ def test_worker_failures_surface_in_the_caller(monkeypatch):
     monkeypatch.setattr("stmlib.bench.run_op", boom)
     with pytest.raises(RuntimeError):
         run_benchmark(small_cfg(threads=2, fill=0.0))
-
-
-def test_retry_limit_reaches_the_workers(monkeypatch):
-    seen = set()
-
-    def spy(engine, tset, kind, value=None, retry_limit=None):
-        seen.add(retry_limit)
-        return True, 0
-
-    monkeypatch.setattr("stmlib.bench.run_op", spy)
-    run_benchmark(small_cfg(threads=2, ops=10, fill=0.0, retry_limit=7))
-    assert seen == {7}
 
 
 def test_recorded_runs_self_verify(protocol):

@@ -115,6 +115,20 @@ def test_read_unknown_object(protocol):
     assert eng.min_active_ts() == txn.ts + 1  # nothing left live
 
 
+@pytest.mark.parametrize("writes", [False, True], ids=["no-writes", "writes"])
+@pytest.mark.parametrize("oid", [[1], {}], ids=["list", "dict"])
+def test_read_of_an_unhashable_id_retires_the_transaction(protocol, oid, writes):
+    eng = Engine(protocol)
+    seeded = eng.seed_object(0)
+    txn = eng.begin()
+    if writes:
+        eng.write(txn, seeded, 1)
+    with pytest.raises(TypeError):
+        eng.read(txn, oid)
+    assert txn.status is TxnStatus.ABORTED
+    assert eng.min_active_ts() == txn.ts + 1  # nothing left live
+
+
 @pytest.mark.parametrize("oid", [3, 0, "x"])
 def test_write_to_an_id_never_handed_out(protocol, oid):
     eng = Engine(protocol)
@@ -141,10 +155,22 @@ def test_unknown_protocol_rejected():
 
 
 def test_default_gc_periods():
-    assert Engine("bto").gc_period is None
-    assert Engine("sgt").gc_period == 1
-    assert Engine("mvto").gc_period == 256
-    assert Engine("mvto", gc_period=8).gc_period == 8
+    """Automatic passes: sgt after every commit, mvto after every 256th,
+    bto never."""
+    expected = {"bto": [], "sgt": list(range(1, 601)), "mvto": [256, 512]}
+    for protocol, after in expected.items():
+        eng = Engine(protocol)
+        oid = eng.seed_object(0)
+        passes = []  # the commit count at each automatic pass
+        eng.collect = lambda: passes.append(commits)
+        for commits in range(1, 601):
+            txn = eng.begin()
+            eng.write(txn, oid, commits)
+            assert eng.commit(txn).committed
+        loser = eng.begin()
+        eng.write(loser, oid, -1)
+        eng.abort(loser)  # an abort is not a commit
+        assert passes == after, protocol
 
 
 def test_min_active_ts_tracks_live_set(protocol):
@@ -173,21 +199,6 @@ def test_recorder_sees_the_expected_events(protocol):
     assert kinds == [READ, WRITE, COMMIT, ABORT]
     read = rec.history().events[0]
     assert read.oid == oid and read.version_ts == 0
-
-
-def test_disabled_recorder_stays_empty(protocol):
-    rec = HistoryRecorder(enabled=False)
-    eng = Engine(protocol, recorder=rec)
-    oid = eng.seed_object(5)
-    txn = eng.begin()
-    eng.read(txn, oid)
-    eng.write(txn, oid, 6)
-    assert eng.commit(txn).committed
-    loser = eng.begin()
-    eng.read(loser, oid)
-    eng.write(loser, oid, 7)
-    eng.abort(loser)
-    assert len(rec) == 0
 
 
 def test_commit_result_carries_reason():

@@ -4,7 +4,7 @@ import random
 from bisect import insort
 
 import pytest
-from conftest import random_script, scan_version, scripted_outcomes
+from conftest import keep_resident, random_script, scan_version, scripted_outcomes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +20,26 @@ from stmlib.core import Transaction
 from stmlib.oracle import COMMIT, READ, WRITE
 from stmlib.protocols.mvto import MvtoBackend, version_index
 
-RETAIN = 10**9
 
-
-def fresh_engine(n_objects=3, gc_period=RETAIN):
-    eng = Engine("mvto", gc_period=gc_period)
+def fresh_engine(n_objects=3):
+    """An mvto engine with n seeded objects and no automatic collection."""
+    eng = keep_resident(Engine("mvto"))
     for _ in range(n_objects):
         eng.seed_object(0)
+    return eng
+
+
+def eager_engine(n_objects=3):
+    """fresh_engine, with a collection pass after every commit."""
+    eng = fresh_engine(n_objects)
+
+    def commit_and_collect(txn):
+        result = Engine.commit(eng, txn)
+        if result.committed:
+            Engine.collect(eng)
+        return result
+
+    eng.commit = commit_and_collect
     return eng
 
 
@@ -249,7 +262,7 @@ def test_reader_never_sees_younger_version():
 def test_chains_stay_sorted_after_concurrency():
     import threading
 
-    eng = fresh_engine(4, gc_period=RETAIN)
+    eng = fresh_engine(4)
 
     def churn(seed):
         rng = random.Random(seed)
@@ -328,8 +341,8 @@ def test_gc_never_changes_decisions():
     rng = random.Random(47)
     for _ in range(40):
         script = random_script(rng)
-        with_gc = scripted_outcomes(fresh_engine(3, gc_period=1), script)
-        without_gc = scripted_outcomes(fresh_engine(3, gc_period=RETAIN), script)
+        with_gc = scripted_outcomes(eager_engine(3), script)
+        without_gc = scripted_outcomes(fresh_engine(3), script)
         assert with_gc == without_gc, script
 
 
@@ -340,12 +353,12 @@ def test_gc_prunes_a_chain_once_the_transaction_pinning_it_ends():
         txn = eng.begin()
         eng.write(txn, 1, txn.ts)
         assert eng.commit(txn).committed
-    assert eng.collect() == 0  # old pins min_active_ts below every new version
+    assert Engine.collect(eng) == 0  # old pins min_active_ts below every new version
     assert len(eng.object_meta(1)["stamps"]) == 4
     eng.abort(old)
-    assert eng.collect() == 3  # the pinned pass put the chain back
+    assert Engine.collect(eng) == 3  # the pinned pass put the chain back
     assert eng.object_meta(1)["stamps"] == [4]
-    assert eng.collect() == 0
+    assert Engine.collect(eng) == 0
 
 
 @given(stamps=st.lists(st.integers(0, 120), unique=True, max_size=20).map(sorted),

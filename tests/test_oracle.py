@@ -407,17 +407,6 @@ def test_recording_tracks_no_object_per_event():
     assert len(gc.get_objects()) - before < 100
 
 
-def test_disabled_recorder_records_nothing():
-    rec = HistoryRecorder(enabled=False)
-    rec.record_read(1, 1, 0)
-    rec.record_write_intent(1, 1)
-    rec.record_commit(1)
-    rec.note_set_op(1, "add", 5, True)
-    assert len(rec) == 0
-    h = rec.history()
-    assert h.events == [] and h.set_ops == {}
-
-
 def test_concurrent_recording_keeps_seq_dense():
     rec = HistoryRecorder()
     n, per = 8, 500

@@ -7,6 +7,7 @@ from conftest import (
     NaiveSgt,
     closure_has_cycle,
     closure_on_cycle,
+    keep_resident,
     random_script,
     scripted_outcomes,
 )
@@ -15,8 +16,6 @@ from hypothesis import strategies as st
 
 from stmlib import AbortReason, BenchConfig, Engine, TransactionAborted, run_benchmark
 from stmlib.protocols.sgt import node_on_cycle
-
-RETAIN = 10**9  # gc period large enough to keep committed nodes around
 
 
 def graph(eng):
@@ -28,7 +27,7 @@ def edges(eng):
 
 
 def test_begin_draws_real_time_edges_from_committed():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     t1 = eng.begin()
     assert graph(eng) == {t1.ts: []}
     assert eng.commit(t1).committed
@@ -40,7 +39,7 @@ def test_begin_draws_real_time_edges_from_committed():
 
 
 def test_read_with_no_prior_writer_adds_no_edges():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     oid = eng.seed_object(0)
     t1 = eng.begin()
     eng.read(t1, oid)
@@ -48,7 +47,7 @@ def test_read_with_no_prior_writer_adds_no_edges():
 
 
 def test_read_draws_edge_from_committed_writer():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     oid = eng.seed_object(0)
     t1 = eng.begin()  # begins before t2 commits: no real-time edge
     t2 = eng.begin()
@@ -59,7 +58,7 @@ def test_read_draws_edge_from_committed_writer():
 
 
 def test_cycle_on_read_aborts_and_removes_the_node():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     x = eng.seed_object(0)
     y = eng.seed_object(0)
     t1 = eng.begin()
@@ -76,7 +75,7 @@ def test_cycle_on_read_aborts_and_removes_the_node():
 
 
 def test_lost_update_cycle_on_commit():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     oid = eng.seed_object(0)
     t1 = eng.begin()
     t2 = eng.begin()
@@ -95,7 +94,7 @@ def test_lost_update_cycle_on_commit():
 def test_real_time_edge_enforces_commit_order():
     # Plain conflict edges alone would admit this schedule; the
     # real-time edge from t2 to t3 is what makes it cyclic.
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     x = eng.seed_object(0)
     y = eng.seed_object(0)
     t1 = eng.begin()
@@ -112,7 +111,7 @@ def test_real_time_edge_enforces_commit_order():
 
 
 def test_disjoint_writers_commit_with_only_real_time_edges():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     x = eng.seed_object(0)
     y = eng.seed_object(0)
     t1 = eng.begin()
@@ -125,33 +124,33 @@ def test_disjoint_writers_commit_with_only_real_time_edges():
 
 
 def test_read_only_commit_is_retained_until_watch_drains():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     oid = eng.seed_object(0)
     overlap = eng.begin()
     reader = eng.begin()
     eng.read(reader, oid)
     assert eng.commit(reader).committed
-    assert eng.collect() == 0  # overlap still live
+    assert Engine.collect(eng) == 0  # overlap still live
     assert reader.ts in graph(eng)
     eng.abort(overlap)
-    assert eng.collect() == 1
+    assert Engine.collect(eng) == 1
     assert reader.ts not in graph(eng)
 
 
 def test_gc_examples():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     t1 = eng.begin()
     t2 = eng.begin()
     assert eng.commit(t1).committed  # t2 active at t1's commit
-    assert eng.collect() == 0
+    assert Engine.collect(eng) == 0
     eng.commit(t2)
-    assert eng.collect() == 2
+    assert Engine.collect(eng) == 2
     assert eng.backend.graph_size() == 0
-    assert eng.collect() == 0  # stays empty
+    assert Engine.collect(eng) == 0  # stays empty
 
 
 def test_quiescence_drains_graph_to_zero():
-    eng = Engine("sgt")  # default gc period 1: collect after every commit
+    eng = Engine("sgt")  # collect after every commit
     oid = eng.seed_object(0)
     for _ in range(50):
         txn = eng.begin()
@@ -165,8 +164,8 @@ def test_quiescence_drains_graph_to_zero():
     assert eng.backend.graph_size() == 0
 
 
-def _seeded(gc_period):
-    eng = Engine("sgt", gc_period=gc_period)
+def _seeded():
+    eng = Engine("sgt")
     for _ in range(3):
         eng.seed_object(0)
     return eng
@@ -176,8 +175,8 @@ def test_gc_never_changes_decisions():
     rng = random.Random(23)
     for _ in range(40):
         script = random_script(rng)
-        with_gc = scripted_outcomes(_seeded(1), script)
-        without_gc = scripted_outcomes(_seeded(RETAIN), script)
+        with_gc = scripted_outcomes(_seeded(), script)
+        without_gc = scripted_outcomes(keep_resident(_seeded()), script)
         assert with_gc == without_gc, script
 
 
@@ -210,7 +209,7 @@ def test_stale_edge_graph_matches_a_naive_reference():
     for _ in range(60):
         script = random_script(rng)
         ref = NaiveSgt()
-        eng = _seeded(RETAIN)
+        eng = keep_resident(_seeded())
         for step, (_, label) in zip(script, _steps(eng, script)):
             assert label == ref.step(*step), script
             assert graph(eng) == ref.snapshot(), script
@@ -221,7 +220,7 @@ def test_stale_edge_graph_matches_a_naive_reference():
 def test_graph_stays_acyclic_after_every_operation():
     rng = random.Random(31)
     for _ in range(20):
-        eng = _seeded(RETAIN)
+        eng = keep_resident(_seeded())
         for _ in _steps(eng, random_script(rng, steps=40)):
             adj = {n: set(s) for n, s in graph(eng).items()}
             assert not closure_has_cycle(adj)
@@ -235,7 +234,7 @@ def test_stress_run_is_serializable_and_drains():
 
 
 def test_collect_frees_commits_in_order_once_the_oldest_stamp_passes_their_tag():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     t1 = eng.begin()
     t2 = eng.begin()
     assert eng.commit(t1).committed  # tag 3: t2 began before it
@@ -245,18 +244,23 @@ def test_collect_frees_commits_in_order_once_the_oldest_stamp_passes_their_tag()
     assert eng.backend.collect(3) == 1  # t1 only; t3's tag is still ahead
     assert set(graph(eng)) == {t2.ts, t3.ts}
     eng.abort(t2)
-    assert eng.collect() == 1
+    assert Engine.collect(eng) == 1
     assert eng.backend.graph_size() == 0
 
 
-@pytest.mark.parametrize("gc_period", [1, 3, RETAIN])
-def test_writing_commit_gains_an_in_edge_from_every_resident_reader(gc_period):
-    rng = random.Random(59 + gc_period)
+@pytest.mark.parametrize("every", [1, 3, 10**9])  # every 10**9th commit: never
+def test_writing_commit_gains_an_in_edge_from_every_resident_reader(every):
+    rng = random.Random(59 + every)
     for _ in range(30):
-        eng = _seeded(gc_period)
+        eng = keep_resident(_seeded())
+        commits = 0
         by_ts = {}
         for txn, label in _steps(eng, random_script(rng, steps=40)):
             by_ts[txn.ts] = txn
+            if label == "commit":
+                commits += 1
+                if commits % every == 0:
+                    Engine.collect(eng)
             if not (label == "commit" and txn.write_set):
                 continue
             for node, succ in graph(eng).items():
@@ -265,20 +269,20 @@ def test_writing_commit_gains_an_in_edge_from_every_resident_reader(gc_period):
 
 
 def test_retained_reader_is_listed_and_draws_edges_until_freed():
-    eng = Engine("sgt", gc_period=RETAIN)
+    eng = keep_resident(Engine("sgt"))
     x = eng.seed_object(0)
     overlap = eng.begin()
     reader = eng.begin()
     writer = eng.begin()
     eng.read(reader, x)
     assert eng.commit(reader).committed
-    assert eng.collect() == 0  # overlap keeps the committed reader resident
+    assert Engine.collect(eng) == 0  # overlap keeps the committed reader resident
     assert eng.object_meta(x)["readers"] == [reader.ts]
     eng.write(writer, x, 1)
     assert eng.commit(writer).committed
     assert (reader.ts, writer.ts) in edges(eng)
     eng.abort(overlap)
-    assert eng.collect() == 2
+    assert Engine.collect(eng) == 2
     assert eng.object_meta(x)["readers"] == []
     late = eng.begin()
     eng.write(late, x, 2)

@@ -104,13 +104,6 @@ def test_add_write_set_default_and_minimal():
     assert len(txn.write_set) == 3
     eng.abort(txn)
 
-    lean = TransactionalSet(eng, minimal_writes=True)
-    one_shot(eng, lambda txn: lean.add(txn, 10))
-    txn = eng.begin()
-    lean.add(txn, 5)
-    assert len(txn.write_set) == 2
-    eng.abort(txn)
-
 
 def test_remove_write_set_default_and_minimal():
     eng = Engine("bto")
@@ -119,13 +112,6 @@ def test_remove_write_set_default_and_minimal():
     txn = eng.begin()
     tset.remove(txn, 10)
     assert len(txn.write_set) == 2  # relinked head plus the victim rewrite
-    eng.abort(txn)
-
-    lean = TransactionalSet(eng, minimal_writes=True)
-    one_shot(eng, lambda txn: lean.add(txn, 10))
-    txn = eng.begin()
-    lean.remove(txn, 10)
-    assert len(txn.write_set) == 1
     eng.abort(txn)
 
 
