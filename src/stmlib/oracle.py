@@ -46,6 +46,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import IncompleteHistory, WitnessInvalid
+from .protocols import PROTOCOLS
 
 READ = 0
 WRITE = 1
@@ -329,7 +330,8 @@ def load_trace(path) -> History:
 
     A line with a non-ASCII byte, a non-integer field, fewer than five
     fields or an event kind outside 0..3, and a `# protocol=` header
-    with no name, raise ValueError naming path:line.
+    with no name or a name outside `stmlib.protocols.PROTOCOLS`, raise
+    ValueError naming path:line.
     """
     history = History()
     # Undecodable bytes become lone surrogates, so the line that holds
@@ -346,6 +348,10 @@ def load_trace(path) -> History:
                     name = line.split("protocol=", 1)[1].split()
                     if not name:
                         raise ValueError(f"{path}:{lineno}: empty protocol name")
+                    if name[0] not in PROTOCOLS:
+                        raise ValueError(
+                            f"{path}:{lineno}: unknown protocol name {name[0]!r}, "
+                            f"expected one of {sorted(PROTOCOLS)}")
                     history.protocol = name[0]
                 continue
             try:

@@ -11,6 +11,20 @@ inside their own critical sections, so that the recorded sequence
 numbers reflect the order the effects actually took on each object.
 They test only that a recorder is attached: an engine without one
 records nothing.
+
+A critical section that runs once per read (each backend's on_read)
+takes its lock with an explicit `lock.acquire()`, makes `try` the very
+next statement and calls `lock.release()` in its `finally`.  Every
+other site, which runs about once per transaction or per pass, keeps
+`with lock:`.  On CPython 3.11.7 on a 2-vCPU Xeon VM, the best of
+repeated timings of a section that returns one attribute was 270 ns
+with `with`, 129 ns with acquire/try/finally and 31 ns with no lock:
+`with` looks up and binds `__enter__` and `__exit__` and passes
+`__exit__` a 3-tuple.  The explicit form leaves open one window that
+`with` closes: an asynchronous exception (KeyboardInterrupt from a
+signal) delivered after `acquire()` returns and before `try` starts
+leaks the lock.  Such an exception reaches only the main thread, whose
+run is then over anyway.
 """
 
 from __future__ import annotations

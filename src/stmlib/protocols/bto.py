@@ -45,7 +45,9 @@ class BtoBackend(LockedStore):
         if entry is None:
             raise NotFound(f"object {oid}")
         ts = txn.ts
-        with entry.lock:
+        lock = entry.lock
+        lock.acquire()
+        try:
             if ts < entry.max_write:
                 raise TransactionAborted(AbortReason.STALE_READ)
             if ts > entry.max_read:
@@ -54,6 +56,8 @@ class BtoBackend(LockedStore):
             if rec is not None:
                 rec.record_read(ts, oid, entry.max_write)
             return entry.value
+        finally:
+            lock.release()
 
     def read_committed(self, oid: int):
         entry = self._entry(oid)

@@ -76,7 +76,9 @@ class MvtoBackend(LockedStore):
         if chain is None:
             raise NotFound(f"object {oid}")
         ts = txn.ts
-        with chain.lock:
+        lock = chain.lock
+        lock.acquire()
+        try:
             i = version_index(chain.stamps, ts)
             if i < 0:
                 raise NoVisibleVersion(f"object {oid} before ts {ts}")
@@ -87,6 +89,8 @@ class MvtoBackend(LockedStore):
             if rec is not None:
                 rec.record_read(ts, oid, chain.stamps[i])
             return chain.values[i]
+        finally:
+            lock.release()
 
     def _publish(self, existing, fresh):
         with self._store_lock:

@@ -120,7 +120,9 @@ class SgtBackend(BackendBase):
 
     def on_read(self, txn, oid: int):
         ts = txn.ts
-        with self._glock:
+        lock = self._glock
+        lock.acquire()
+        try:
             entry = self._store.get(oid)
             if entry is None:
                 raise NotFound(f"object {oid}")
@@ -136,6 +138,8 @@ class SgtBackend(BackendBase):
             if rec is not None:
                 rec.record_read(ts, oid, entry.writer_ts)
             return entry.value
+        finally:
+            lock.release()
 
     def commit(self, txn):
         ts = txn.ts

@@ -122,8 +122,9 @@ def test_check_multiversion_flag_changes_the_rules(tmp_path, capsys):
     ("".join(f"{i} {i} {i} 2 0\n" for i in range(1, 3000)) + "3000 3000 3000 2 0 caf\u00e9\n",
      "run.trace:3000: non-ASCII byte"),
     ("# protocol=\n1 1 1 2 0\n", "run.trace:1: empty protocol name"),
+    ("# protocol=MVTO\n1 1 1 2 0\n", "run.trace:1: unknown protocol name 'MVTO'"),
 ], ids=["missing-file", "non-integer-field", "short-line", "incomplete-history",
-        "unknown-kind", "non-ascii", "empty-protocol"])
+        "unknown-kind", "non-ascii", "empty-protocol", "unknown-protocol"])
 def test_check_bad_trace_is_an_error(tmp_path, capsys, content, message):
     trace = tmp_path / "run.trace"
     if content is not None:

@@ -9,6 +9,7 @@ from stmlib import (
     Engine,
     HistoryRecorder,
     NotFound,
+    NoVisibleVersion,
     TransactionAborted,
     TxnNotLive,
     TxnStatus,
@@ -227,3 +228,85 @@ def test_read_refusal_aborts_immediately():
         eng.read(stale, oid)
     assert info.value.reason is AbortReason.STALE_READ
     assert stale.status is TxnStatus.ABORTED
+
+
+class _FailingRecorder(HistoryRecorder):
+    def record_read(self, txn, oid, observed_ts):
+        raise RuntimeError("recorder failed")
+
+
+def _stale_read(eng):
+    oid = eng.seed_object(1)
+    stale = eng.begin()
+    writer = eng.begin()
+    eng.write(writer, oid, 2)
+    assert eng.commit(writer).committed
+    return stale, oid
+
+
+def _no_visible_version(eng):
+    reader = eng.begin()
+    writer = eng.begin()
+    oid = eng.new_object_id()
+    eng.write(writer, oid, 1)
+    assert eng.commit(writer).committed  # the object's only version is younger
+    return reader, oid
+
+
+def _read_closing_a_cycle(eng):
+    a = eng.seed_object(0)
+    b = eng.seed_object(0)
+    reader = eng.begin()
+    writer = eng.begin()
+    eng.read(reader, a)
+    eng.write(writer, a, 1)
+    eng.write(writer, b, 1)
+    assert eng.commit(writer).committed  # reader -> writer
+    return reader, b  # writer -> reader closes the cycle
+
+
+def _unknown_object(eng):
+    return eng.begin(), 404
+
+
+def _any_read(eng):
+    oid = eng.seed_object(0)
+    return eng.begin(), oid
+
+
+@pytest.mark.parametrize("protocol, setup, recorder, raised, reason", [
+    ("bto", _stale_read, None, TransactionAborted, AbortReason.STALE_READ),
+    ("bto", _any_read, _FailingRecorder, RuntimeError, None),
+    ("mvto", _no_visible_version, None, NoVisibleVersion, None),
+    ("mvto", _any_read, _FailingRecorder, RuntimeError, None),
+    ("sgt", _read_closing_a_cycle, None, TransactionAborted, AbortReason.CYCLE_DETECTED),
+    ("sgt", _unknown_object, None, NotFound, None),
+    ("sgt", _any_read, _FailingRecorder, RuntimeError, None),
+], ids=["bto-stale-read", "bto-recorder-raises", "mvto-no-visible-version",
+        "mvto-recorder-raises", "sgt-cycle", "sgt-not-found", "sgt-recorder-raises"])
+def test_a_raising_read_releases_its_lock(protocol, setup, recorder, raised, reason):
+    eng = Engine(protocol, recorder=recorder() if recorder else None)
+    case = []
+
+    def run():
+        txn, oid = setup(eng)
+        case.append((txn, oid))
+        try:
+            eng.read(txn, oid)
+        except Exception as exc:
+            case.append(exc)
+
+    # sgt retires a refused reader under the graph lock, so a leaked
+    # lock hangs this thread rather than failing an assertion
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    (txn, oid), exc = case
+    backend = eng.backend
+    lock = backend._glock if protocol == "sgt" else backend._store[oid].lock
+    assert type(exc) is raised
+    assert getattr(exc, "reason", None) is reason
+    assert lock.locked() is False
+    assert txn.status is TxnStatus.ABORTED
+    assert eng.min_active_ts() > txn.ts

@@ -350,6 +350,23 @@ def test_trace_round_trip(tmp_path):
     assert before.witness == after.witness
 
 
+def test_saved_mvto_trace_loads_as_multiversion(tmp_path):
+    # old-snapshot reader: serializable only under version order
+    h = history_of([
+        (1, READ, 1, 0),
+        (2, WRITE, 1), (2, WRITE, 2), (2, COMMIT),
+        (1, READ, 2, 0),
+        (1, COMMIT),
+    ], protocol="mvto")
+    path = tmp_path / "mv.trace"
+    save_trace(h, path)
+    loaded = load_trace(path)
+    assert loaded.events == h.events
+    assert loaded.protocol == "mvto"
+    assert loaded.multiversion
+    assert check_conflict_serializability(loaded).serializable
+
+
 def test_trace_format_is_stable(tmp_path):
     h = history_of([(1, READ, 2, 0), (1, COMMIT)], protocol="bto")
     path = tmp_path / "stable.trace"
