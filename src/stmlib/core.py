@@ -14,16 +14,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import AbortReason, NotFound, TxnNotLive
+from .errors import AbortReason, NotFound, TxnNotLive, TxnStatus
 from .protocols import make_backend
-
-
-class TxnStatus(Enum):
-    LIVE = "live"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
 
 
 class Transaction:
@@ -41,14 +34,26 @@ class Transaction:
         return f"<Transaction ts={self.ts} {self.status.value}>"
 
 
-_LIVE = TxnStatus.LIVE
-
-
 @dataclass(frozen=True)
 class CommitResult:
     committed: bool
     ts: int
     reason: AbortReason | None = None
+
+
+class _BackendRead:
+    """`engine.read` resolves to `engine.backend.on_read`.
+
+    A non-data descriptor (no `__set__`): an instance attribute named
+    `read`, such as a tracing wrapper, shadows it, and deleting that
+    attribute brings the lookup back here.  Bind `read = engine.read`
+    once before a loop of reads to skip this frame on each of them.
+    """
+
+    def __get__(self, engine, owner=None):
+        if engine is None:
+            return self
+        return engine.backend.on_read
 
 
 class Engine:
@@ -76,25 +81,11 @@ class Engine:
         self.backend.on_begin(txn)
         return txn
 
-    def read(self, txn: Transaction, oid: int):
-        # The hot path of every traversal: the liveness test is inlined
-        # and the write set is probed only once the transaction has one.
-        if txn.status is not _LIVE:
-            self._require_live(txn)
-        try:
-            write_set = txn.write_set
-            if write_set and oid in write_set:
-                return write_set[oid]
-            read_set = txn.read_set
-            if oid in read_set:
-                return read_set[oid]
-            value = read_set[oid] = self.backend.on_read(txn, oid)
-        except BaseException:
-            # a refusal, NotFound, an unhashable id or anything else:
-            # the transaction cannot go on, so it leaves the live set here
-            self._retire(txn, TxnStatus.ABORTED)
-            raise
-        return value
+    # read(txn, oid) is the backend's on_read, the whole transactional
+    # read in one Python frame: it serves the transaction's own logs,
+    # admits and logs a first read, and retires the transaction on any
+    # exit but TxnNotLive (contract in protocols/base.py).
+    read = _BackendRead()
 
     def write(self, txn: Transaction, oid: int, value):
         self._require_live(txn)

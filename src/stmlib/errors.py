@@ -1,6 +1,16 @@
-"""Exception taxonomy and abort reasons shared across the library."""
+"""Exception taxonomy, abort reasons and transaction statuses.
+
+Everything here is shared across the library and imports nothing from
+it, so the engine and the protocol backends can both use it.
+"""
 
 import enum
+
+
+class TxnStatus(enum.Enum):
+    LIVE = "live"
+    COMMITTED = "committed"
+    ABORTED = "aborted"
 
 
 class AbortReason(enum.Enum):

@@ -1,10 +1,26 @@
 """Shared pieces of the protocol backends.
 
 A backend owns the shared object store and every lock that guards it.
-The engine calls, per transaction: on_begin, on_read (which raises
-TransactionAborted to refuse the read), commit (returning None or an
-AbortReason, after cleaning up the transaction's protocol state either
-way) and on_abort for voluntary or read-path aborts.
+The engine calls, per transaction: on_begin, commit (returning None or
+an AbortReason, after cleaning up the transaction's protocol state
+either way) and on_abort for voluntary or read-path aborts.
+
+`on_read(txn, oid)` is the whole transactional read: `Engine.read`
+resolves straight to it, so a read runs one Python frame.  In order:
+1. the liveness test, outside everything else: a read on a terminated
+   transaction raises TxnNotLive and changes and records nothing;
+2. one `try` that serves a repeat read from the write set, then the
+   read set, looks the object up (only the store lookup's KeyError
+   becomes NotFound, through a nested `try`, which on CPython 3.11
+   costs nothing until something raises) and runs the critical
+   section, which admits the read, records it and stores the value in
+   the read set;
+3. `except BaseException:` retire the transaction as ABORTED and
+   re-raise.  A refusal (TransactionAborted), NotFound, NoVisibleVersion,
+   an unhashable id or anything else ends the transaction there, after
+   the lock is released, as sgt's on_abort takes the graph lock.
+The three backends repeat the probes and the retire rather than share
+them, since a shared helper would add back the frame.
 
 Backends log read and commit events into the engine's recorder from
 inside their own critical sections, so that the recorded sequence
@@ -31,7 +47,10 @@ from __future__ import annotations
 
 import threading
 
-from ..errors import NotFound
+from ..errors import NotFound, TxnStatus
+
+LIVE = TxnStatus.LIVE
+ABORTED = TxnStatus.ABORTED
 
 
 class BackendBase:

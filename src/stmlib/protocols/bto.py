@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 
 from ..errors import AbortReason, NotFound, TransactionAborted
-from .base import LockedStore
+from .base import ABORTED, LIVE, LockedStore
 
 
 class _Entry:
@@ -41,23 +41,37 @@ class BtoBackend(LockedStore):
     refusal = AbortReason.STALE_WRITE
 
     def on_read(self, txn, oid: int):
-        entry = self._store.get(oid)
-        if entry is None:
-            raise NotFound(f"object {oid}")
-        ts = txn.ts
-        lock = entry.lock
-        lock.acquire()
+        if txn.status is not LIVE:
+            self.engine._require_live(txn)
         try:
-            if ts < entry.max_write:
-                raise TransactionAborted(AbortReason.STALE_READ)
-            if ts > entry.max_read:
-                entry.max_read = ts
-            rec = self.engine.recorder
-            if rec is not None:
-                rec.record_read(ts, oid, entry.max_write)
-            return entry.value
-        finally:
-            lock.release()
+            write_set = txn.write_set
+            if write_set and oid in write_set:
+                return write_set[oid]
+            read_set = txn.read_set
+            if oid in read_set:
+                return read_set[oid]
+            try:
+                entry = self._store[oid]
+            except KeyError:
+                raise NotFound(f"object {oid}") from None
+            ts = txn.ts
+            lock = entry.lock
+            lock.acquire()
+            try:
+                if ts < entry.max_write:
+                    raise TransactionAborted(AbortReason.STALE_READ)
+                if ts > entry.max_read:
+                    entry.max_read = ts
+                rec = self.engine.recorder
+                if rec is not None:
+                    rec.record_read(ts, oid, entry.max_write)
+                value = read_set[oid] = entry.value
+            finally:
+                lock.release()
+        except BaseException:
+            self.engine._retire(txn, ABORTED)
+            raise
+        return value
 
     def read_committed(self, oid: int):
         entry = self._entry(oid)

@@ -28,7 +28,7 @@ import threading
 from bisect import bisect_left
 
 from ..errors import AbortReason, NotFound, NoVisibleVersion
-from .base import LockedStore
+from .base import ABORTED, LIVE, LockedStore
 
 
 def version_index(stamps, ts):
@@ -72,25 +72,39 @@ class MvtoBackend(LockedStore):
         self._grown: set[int] = set()  # oids of chains that may hold old versions
 
     def on_read(self, txn, oid: int):
-        chain = self._store.get(oid)
-        if chain is None:
-            raise NotFound(f"object {oid}")
-        ts = txn.ts
-        lock = chain.lock
-        lock.acquire()
+        if txn.status is not LIVE:
+            self.engine._require_live(txn)
         try:
-            i = version_index(chain.stamps, ts)
-            if i < 0:
-                raise NoVisibleVersion(f"object {oid} before ts {ts}")
-            max_readers = chain.max_readers
-            if ts > max_readers[i]:
-                max_readers[i] = ts
-            rec = self.engine.recorder
-            if rec is not None:
-                rec.record_read(ts, oid, chain.stamps[i])
-            return chain.values[i]
-        finally:
-            lock.release()
+            write_set = txn.write_set
+            if write_set and oid in write_set:
+                return write_set[oid]
+            read_set = txn.read_set
+            if oid in read_set:
+                return read_set[oid]
+            try:
+                chain = self._store[oid]
+            except KeyError:
+                raise NotFound(f"object {oid}") from None
+            ts = txn.ts
+            lock = chain.lock
+            lock.acquire()
+            try:
+                i = version_index(chain.stamps, ts)
+                if i < 0:
+                    raise NoVisibleVersion(f"object {oid} before ts {ts}")
+                max_readers = chain.max_readers
+                if ts > max_readers[i]:
+                    max_readers[i] = ts
+                rec = self.engine.recorder
+                if rec is not None:
+                    rec.record_read(ts, oid, chain.stamps[i])
+                value = read_set[oid] = chain.values[i]
+            finally:
+                lock.release()
+        except BaseException:
+            self.engine._retire(txn, ABORTED)
+            raise
+        return value
 
     def _publish(self, existing, fresh):
         with self._store_lock:

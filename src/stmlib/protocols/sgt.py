@@ -10,12 +10,15 @@ happen under one graph lock: admitting an operation under the lock but
 letting its effect land later would let two admissions take effect in
 the opposite order, certifying an execution that never happened.
 
-Objects carry no reader marks.  Each graph-resident node keeps the set
-of objects it has read, and a writing commit tests every such set
-against its write set, at O(graph-resident nodes x |write set|).  That
-adds nothing asymptotically: the transaction's begin already walked
-every graph-resident node.  In exchange a read is one set insert, and
-retiring a node drops its read set whole.
+Objects carry no reader marks.  Each graph-resident node keeps the
+objects it has read: its `_reads_of` entry is the transaction's own
+read set, bound at begin and filled by `on_read` under the graph lock.
+A writing commit tests every such set against its write set, at
+O(graph-resident nodes x |write set|).  That adds nothing
+asymptotically: the transaction's begin already walked every
+graph-resident node.  In exchange a read stores nothing that the
+transaction does not keep anyway, and retiring a node drops its read
+set whole.
 
 A cycle is searched for only from a node that has an out-edge: a node
 with none cannot lie on a cycle, however many in-edges it gains.  Every
@@ -62,7 +65,7 @@ import threading
 from collections import deque
 
 from ..errors import AbortReason, NotFound, TransactionAborted
-from .base import BackendBase
+from .base import ABORTED, LIVE, BackendBase
 
 
 def node_on_cycle(adj, start):
@@ -104,7 +107,7 @@ class SgtBackend(BackendBase):
         self._glock = threading.Lock()
         self._store: dict[int, _Entry] = {}
         self._out: dict[int, set[int]] = {}  # keyed by every graph-resident node
-        self._reads_of: dict[int, set[int]] = {}  # keyed by every graph-resident node
+        self._reads_of: dict[int, dict] = {}  # node -> its transaction's read_set
         self._retired: deque[tuple[int, int, dict]] = deque()  # (tag, ts, write set), commit order
 
     # -- engine hooks -------------------------------------------------
@@ -116,30 +119,46 @@ class SgtBackend(BackendBase):
             for _, node, _ in self._retired:
                 out[node].add(ts)
             out[ts] = set()
-            self._reads_of[ts] = set()
+            self._reads_of[ts] = txn.read_set
 
     def on_read(self, txn, oid: int):
-        ts = txn.ts
-        lock = self._glock
-        lock.acquire()
+        if txn.status is not LIVE:
+            self.engine._require_live(txn)
         try:
-            entry = self._store.get(oid)
-            if entry is None:
-                raise NotFound(f"object {oid}")
-            out = self._out
-            for writer in entry.writers:
-                if writer != ts:
-                    out[writer].add(ts)
-            if out[ts] and node_on_cycle(out, ts):
-                self._unlink(ts)
-                raise TransactionAborted(AbortReason.CYCLE_DETECTED)
-            self._reads_of[ts].add(oid)
-            rec = self.engine.recorder
-            if rec is not None:
-                rec.record_read(ts, oid, entry.writer_ts)
-            return entry.value
-        finally:
-            lock.release()
+            write_set = txn.write_set
+            if write_set and oid in write_set:
+                return write_set[oid]
+            read_set = txn.read_set
+            if oid in read_set:
+                return read_set[oid]
+            ts = txn.ts
+            lock = self._glock
+            lock.acquire()
+            try:
+                try:
+                    entry = self._store[oid]
+                except KeyError:
+                    raise NotFound(f"object {oid}") from None
+                out = self._out
+                writers = entry.writers
+                if writers:
+                    for writer in writers:
+                        if writer != ts:
+                            out[writer].add(ts)
+                if out[ts] and node_on_cycle(out, ts):
+                    self._unlink(ts)
+                    raise TransactionAborted(AbortReason.CYCLE_DETECTED)
+                # read_set is this node's _reads_of entry: filled under the lock
+                value = read_set[oid] = entry.value
+                rec = self.engine.recorder
+                if rec is not None:
+                    rec.record_read(ts, oid, entry.writer_ts)
+            finally:
+                lock.release()
+        except BaseException:
+            self.engine._retire(txn, ABORTED)
+            raise
+        return value
 
     def commit(self, txn):
         ts = txn.ts
@@ -147,7 +166,7 @@ class SgtBackend(BackendBase):
         with self._glock:
             out = self._out
             for reader, reads in self._reads_of.items():
-                if reader != ts and not reads.isdisjoint(write_set):
+                if reader != ts and not reads.keys().isdisjoint(write_set):
                     out[reader].add(ts)
             for oid in write_set:
                 entry = self._store.get(oid)

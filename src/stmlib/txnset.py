@@ -75,10 +75,11 @@ class TransactionalSet:
 
     def snapshot(self, txn) -> list[int]:
         """All members in ascending order, sentinels excluded."""
+        read = self._engine.read
         values = []
-        node = self._engine.read(txn, self.head_oid)
+        node = read(txn, self.head_oid)
         while True:
-            node = self._engine.read(txn, node.next)
+            node = read(txn, node.next)
             if node.value == TAIL_KEY:
                 return values
             values.append(node.value)

@@ -1,6 +1,8 @@
 """Engine lifecycle: timestamps, local logs, status transitions."""
 
+import importlib.util
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,14 @@ from stmlib import (
     NotFound,
     NoVisibleVersion,
     TransactionAborted,
+    TransactionalSet,
     TxnNotLive,
     TxnStatus,
+    run_op,
 )
 from stmlib.oracle import ABORT, COMMIT, READ, WRITE
+
+TRACER = Path(__file__).resolve().parent.parent / "stmperf" / "tracer.py"
 
 
 def test_timestamps_strictly_increase_from_one(protocol):
@@ -105,6 +111,72 @@ def test_terminated_txn_rejects_operations(protocol):
                  lambda: eng.abort(txn)):
         with pytest.raises(TxnNotLive):
             call()
+
+
+@pytest.mark.parametrize("end", ["commit", "abort"])
+def test_a_read_on_a_terminated_transaction_changes_nothing(protocol, end):
+    rec = HistoryRecorder()
+    eng = Engine(protocol, recorder=rec)
+    seen = eng.seed_object(1)
+    unseen = eng.seed_object(2)
+    txn = eng.begin()
+    eng.read(txn, seen)
+    getattr(eng, end)(txn)
+    status = txn.status
+    events = rec.history().events
+    for oid in (seen, unseen, 404, [1]):
+        with pytest.raises(TxnNotLive):
+            eng.read(txn, oid)
+    assert txn.status is status
+    assert txn.read_set == {seen: 1}
+    assert rec.history().events == events
+    assert [e.kind for e in events].count(ABORT) == (end == "abort")
+
+
+def test_read_is_the_backends_on_read_after_shadowing(protocol):
+    eng = Engine(protocol)
+    a = eng.seed_object("a")
+    b = eng.seed_object("b")
+    assert eng.read == eng.backend.on_read
+    calls = []
+
+    def counting(txn, oid):
+        calls.append(oid)
+        return eng.backend.on_read(txn, oid)
+
+    eng.read = counting  # what a tracing wrapper does
+    txn = eng.begin()
+    assert eng.read(txn, a) == "a"
+    assert calls == [a]
+    del eng.read
+    assert eng.read == eng.backend.on_read
+    assert eng.read(txn, b) == "b"
+    assert calls == [a]
+    assert txn.read_set == {a: "a", b: "b"}
+    assert eng.commit(txn).committed
+
+
+def test_tracer_install_and_undo_leave_the_one_frame_read(protocol):
+    spec = importlib.util.spec_from_file_location("stmperf_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    eng = Engine(protocol)
+    tset = TransactionalSet(eng)
+    for value in (3, 1, 2):
+        run_op(eng, tset, "add", value)
+    tracer = tracer_module.Tracer()
+    undo = tracer_module.install(tracer, protocol, eng, None)
+    assert eng.read != eng.backend.on_read
+    txn = eng.begin()
+    assert tset.snapshot(txn) == [1, 2, 3]  # head, three members, tail
+    assert eng.commit(txn).committed
+    undo()
+    assert tracer.spans()["engine.read"][0] == 5
+    assert eng.read == eng.backend.on_read
+    txn = eng.begin()
+    assert tset.snapshot(txn) == [1, 2, 3]
+    assert eng.commit(txn).committed
+    assert tracer.spans()["engine.read"][0] == 5  # nothing traced after undo
 
 
 def test_read_unknown_object(protocol):

@@ -74,6 +74,41 @@ def test_cycle_on_read_aborts_and_removes_the_node():
     assert t1.ts not in eng.object_meta(x)["readers"]
 
 
+def test_the_graph_keeps_the_transactions_own_read_set():
+    eng = keep_resident(Engine("sgt"))
+    x = eng.seed_object(0)
+    y = eng.seed_object(0)
+    t1 = eng.begin()
+    assert eng.backend._reads_of[t1.ts] is t1.read_set
+    eng.read(t1, x)
+    eng.write(t1, y, 5)
+    assert eng.read(t1, y) == 5  # served from the write set
+    assert t1.read_set == {x: 0}
+    assert eng.object_meta(x)["readers"] == [t1.ts]
+    assert eng.object_meta(y)["readers"] == []
+    assert eng.commit(t1).committed
+    assert eng.backend._reads_of[t1.ts] is t1.read_set  # resident until collected
+
+
+def test_a_read_refused_on_a_cycle_is_not_in_the_read_set():
+    eng = keep_resident(Engine("sgt"))
+    x = eng.seed_object(0)
+    y = eng.seed_object(0)
+    t1 = eng.begin()
+    eng.read(t1, x)
+    t2 = eng.begin()
+    eng.write(t2, x, 1)
+    eng.write(t2, y, 1)
+    assert eng.commit(t2).committed  # t1 -> t2
+    readers_of_y = eng.object_meta(y)["readers"]
+    with pytest.raises(TransactionAborted) as info:
+        eng.read(t1, y)  # t2 -> t1 closes the cycle
+    assert info.value.reason is AbortReason.CYCLE_DETECTED
+    assert t1.read_set == {x: 0}
+    assert t1.ts not in eng.backend._reads_of
+    assert eng.object_meta(y)["readers"] == readers_of_y == []
+
+
 def test_lost_update_cycle_on_commit():
     eng = keep_resident(Engine("sgt"))
     oid = eng.seed_object(0)
