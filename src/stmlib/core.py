@@ -100,7 +100,13 @@ class Engine:
 
     def commit(self, txn: Transaction) -> CommitResult:
         self._require_live(txn)
-        reason = self.backend.commit(txn)
+        try:
+            reason = self.backend.commit(txn)
+        except BaseException:
+            # the backend publishes nothing before it records the commit,
+            # so a raise (say, from the recorder) leaves no write behind
+            self._retire(txn, TxnStatus.ABORTED)
+            raise
         if reason is not None:
             self._retire(txn, TxnStatus.ABORTED, backend_done=True)
             return CommitResult(False, txn.ts, reason)

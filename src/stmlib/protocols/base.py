@@ -3,7 +3,11 @@
 A backend owns the shared object store and every lock that guards it.
 The engine calls, per transaction: on_begin, commit (returning None or
 an AbortReason, after cleaning up the transaction's protocol state
-either way) and on_abort for voluntary or read-path aborts.
+either way) and on_abort for voluntary or read-path aborts.  A commit
+records its COMMIT event before it publishes any write, inside the
+same critical section, so a commit that raises (a failing recorder)
+has changed no shared state; the engine then retires the transaction
+through on_abort.
 
 `on_read(txn, oid)` is the whole transactional read: `Engine.read`
 resolves straight to it, so a read runs one Python frame.  In order:
@@ -83,10 +87,11 @@ class LockedStore(BackendBase):
     failed validation.  An entry is built as `entry_type(stamp, value)`,
     stamp 0 when seeded, and provides `lock`, `admits(ts)` and
     `install(ts, value)`.  A writing commit locks its existing entries
-    in ascending oid order, tests each with `admits` before it installs
-    into any, and records the commit before it releases the locks; the
-    entries it creates are still private to it until `_publish` adds
-    them to the store.
+    in ascending oid order, tests each with `admits`, records the commit
+    and only then installs into any, all before it releases the locks;
+    the entries it creates are still private to it until `_publish`
+    adds them to the store.  A recorder that raises therefore leaves
+    nothing published.
     """
 
     def __init__(self):
@@ -129,11 +134,11 @@ class LockedStore(BackendBase):
             for _, entry in existing:
                 if not entry.admits(ts):
                     return self.refusal
+            if rec is not None:
+                rec.record_commit(ts)
             for oid, entry in existing:
                 entry.install(ts, write_set[oid])
             self._publish(existing, fresh)
-            if rec is not None:
-                rec.record_commit(ts)
             return None
         finally:
             for _, entry in existing:

@@ -34,10 +34,11 @@ acting, and stamps are never reused, so no stale id names a node again:
 the cycle search reads it as a node with no successors, and every
 verdict is the one eager edge removal gives.  A live node's out-edges
 point only to committed resident nodes or to committers aborted on a
-cycle, as a committed node stays resident while any transaction that
-overlapped its commit is live (below).  So the out-edge skip holds: a
-stale id can only let through a search that eager removal would have
-skipped, and that search visits the id and reports no cycle.
+cycle (or by a recorder that raised), as a committed node stays
+resident while any transaction that overlapped its commit is live
+(below).  So the out-edge skip holds: a stale id can only let through
+a search that eager removal would have skipped, and that search visits
+the id and reports no cycle.
 
 Committed nodes cannot be dropped immediately: a transaction that
 overlapped one may still pick up an edge through it.  A commit C
@@ -178,6 +179,9 @@ class SgtBackend(BackendBase):
             if out[ts] and node_on_cycle(out, ts):
                 self._unlink(ts)
                 return AbortReason.CYCLE_DETECTED
+            rec = self.engine.recorder
+            if rec is not None:
+                rec.record_commit(ts)
             for oid, value in write_set.items():
                 entry = self._store.get(oid)
                 if entry is None:
@@ -187,9 +191,6 @@ class SgtBackend(BackendBase):
                 entry.writer_ts = ts
                 entry.writers.add(ts)
             self._retired.append((self.engine._next_ts, ts, write_set))
-            rec = self.engine.recorder
-            if rec is not None:
-                rec.record_commit(ts)
             return None
 
     def on_abort(self, txn):

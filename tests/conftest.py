@@ -200,11 +200,12 @@ def keep_resident(eng):
     return eng
 
 
-def scripted_outcomes(eng, script) -> list[str]:
+def scripted_outcomes(eng, script, blind_writes=False) -> list[str]:
     """Run (slot, action, oid) steps on an engine; label each step.
 
     A slot is reused by a fresh transaction once its current one
-    terminates, so one script exercises many transactions.  Labels are
+    terminates, so one script exercises many transactions.  A write
+    reads the object first unless blind_writes is set.  Labels are
     "ok", "commit", or the abort reason string.
     """
     from stmlib import TransactionAborted
@@ -221,7 +222,8 @@ def scripted_outcomes(eng, script) -> list[str]:
                 eng.read(txn, oid)
                 outcomes.append("ok")
             elif action == "write":
-                eng.read(txn, oid)
+                if not blind_writes:
+                    eng.read(txn, oid)
                 eng.write(txn, oid, txn.ts)
                 outcomes.append("ok")
             else:

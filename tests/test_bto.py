@@ -100,11 +100,12 @@ def test_max_read_keeps_the_maximum():
 
 def rig_refusal(backend, oid, ts):
     """Make a commit at ts refuse to write oid."""
-    entry = backend._store[oid]
     if isinstance(backend, BtoBackend):
-        entry.max_write = ts + 2
+        backend._store[oid].max_write = ts + 2
     else:
-        entry.max_readers[0] = ts + 2  # a younger reader saw the predecessor
+        # a younger reader saw the predecessor
+        backend.on_read(Transaction(ts + 2), oid)
+        assert backend.object_meta(oid)["max_readers"] == [ts + 2]
 
 
 @pytest.mark.parametrize("protocol, reason", [

@@ -382,3 +382,40 @@ def test_a_raising_read_releases_its_lock(protocol, setup, recorder, raised, rea
     assert lock.locked() is False
     assert txn.status is TxnStatus.ABORTED
     assert eng.min_active_ts() > txn.ts
+
+
+class _CommitFailingRecorder(HistoryRecorder):
+    failing = True
+
+    def record_commit(self, txn):
+        if self.failing:
+            raise RuntimeError("recorder failed")
+        super().record_commit(txn)
+
+
+@pytest.mark.parametrize("writes", [True, False], ids=["writing", "read-only"])
+def test_a_raising_commit_publishes_nothing_and_retires(protocol, writes):
+    rec = _CommitFailingRecorder()
+    eng = Engine(protocol, recorder=rec)
+    oid = eng.seed_object("old")
+    txn = eng.begin()
+    assert eng.read(txn, oid) == "old"
+    if writes:
+        eng.write(txn, oid, "new")
+    with pytest.raises(RuntimeError, match="recorder failed"):
+        eng.commit(txn)
+    assert txn.status is TxnStatus.ABORTED
+    assert eng.min_active_ts() > txn.ts
+    assert eng.read_committed(oid) == "old"
+    assert not [e for e in rec.history().events if e.kind == COMMIT and e.txn == txn.ts]
+    backend = eng.backend
+    if protocol == "sgt":
+        assert backend._glock.locked() is False
+    else:
+        assert backend._store_lock.locked() is False
+        assert not any(entry.lock.locked() for entry in backend._store.values())
+    rec.failing = False
+    fresh = eng.begin()
+    eng.write(fresh, oid, "fresh")
+    assert eng.commit(fresh).committed
+    assert eng.read_committed(oid) == "fresh"

@@ -1,6 +1,7 @@
 """Multiversion rules against shadow simulators and replay oracles."""
 
 import random
+import threading
 from bisect import insort
 
 import pytest
@@ -18,7 +19,8 @@ from stmlib import (
 )
 from stmlib.core import Transaction
 from stmlib.oracle import COMMIT, READ, WRITE
-from stmlib.protocols.mvto import MvtoBackend, version_index
+from stmlib.protocols import mvto
+from stmlib.protocols.mvto import MvtoBackend, _Chain, version_index
 
 
 def fresh_engine(n_objects=3):
@@ -104,11 +106,11 @@ def test_reader_between_stamps_and_bump():
     backend.attach(Engine("mvto"))
     backend.seed(1, "v0")
     chain = backend._store[1]
-    chain.stamps[:] = [0, 3, 7]
-    chain.values[:] = ["v0", "v3", "v7"]
-    chain.max_readers[:] = [0, 0, 0]
+    chain.install(3, "v3")
+    chain.install(7, "v7")
+    assert backend.object_meta(1)["stamps"] == [0, 3, 7]
     assert backend.on_read(Transaction(5), 1) == "v3"
-    assert chain.max_readers == [0, 5, 0]
+    assert backend.object_meta(1)["max_readers"] == [0, 5, 0]
 
 
 def test_writer_aborts_under_a_younger_reader():
@@ -163,19 +165,16 @@ def test_late_writer_inserts_between_existing_stamps():
 def test_no_visible_version_is_defensive():
     backend = MvtoBackend()
     backend.attach(Engine("mvto"))
-    backend.seed(1, "v0")
-    chain = backend._store[1]
-    chain.stamps[:] = [9]
-    chain.values[:] = ["v9"]
-    chain.max_readers[:] = [0]
+    backend._store[1] = _Chain(9, "v9")
+    assert backend.object_meta(1)["stamps"] == [9]
     with pytest.raises(NoVisibleVersion):
         backend.on_read(Transaction(5), 1)
 
 
 def test_no_visible_version_retires_the_reader():
     eng = fresh_engine(1)
-    chain = eng.backend._store[1]
-    chain.stamps[:] = [9]
+    eng.backend._store[1] = _Chain(9, "v9")
+    assert eng.object_meta(1)["stamps"] == [9]
     reader = begin_until(eng, 5)
     with pytest.raises(NoVisibleVersion):
         eng.read(reader, 1)
@@ -359,6 +358,141 @@ def test_gc_prunes_a_chain_once_the_transaction_pinning_it_ends():
     assert Engine.collect(eng) == 3  # the pinned pass put the chain back
     assert eng.object_meta(1)["stamps"] == [4]
     assert Engine.collect(eng) == 0
+
+
+class AllVersionsChain:
+    """The chain before the newest version got its own slots: every
+    version in one sorted list, found with `version_index` on each use."""
+
+    def __init__(self, stamp, value):
+        self.lock = threading.Lock()
+        self.stamps = [stamp]
+        self.values = [value]
+        self.max_readers = [0]
+
+    def admits(self, ts):
+        i = version_index(self.stamps, ts)
+        return i < 0 or self.max_readers[i] <= ts
+
+    def install(self, ts, value):
+        i = version_index(self.stamps, ts) + 1
+        if i < len(self.stamps):
+            AllVersionsMvto.older_inserts += 1
+        self.stamps.insert(i, ts)
+        self.values.insert(i, value)
+        self.max_readers.insert(i, 0)
+
+
+class AllVersionsMvto(MvtoBackend):
+    """mvto over AllVersionsChain; a pass visits every chain."""
+
+    entry_type = AllVersionsChain
+    older_inserts = 0
+    pruned = 0
+
+    def on_read(self, txn, oid):
+        if oid in txn.write_set:
+            return txn.write_set[oid]
+        if oid in txn.read_set:
+            return txn.read_set[oid]
+        chain = self._store[oid]
+        i = version_index(chain.stamps, txn.ts)
+        chain.max_readers[i] = max(chain.max_readers[i], txn.ts)
+        value = txn.read_set[oid] = chain.values[i]
+        return value
+
+    def collect(self, min_active_ts):
+        pruned = 0
+        for chain in self._store.values():
+            i = version_index(chain.stamps, min_active_ts)
+            if i > 0:
+                del chain.stamps[:i]
+                del chain.values[:i]
+                del chain.max_readers[:i]
+                pruned += i
+        AllVersionsMvto.pruned += pruned
+        return pruned
+
+    def read_committed(self, oid):
+        return self._store[oid].values[-1]
+
+    def object_meta(self, oid):
+        chain = self._store[oid]
+        return {
+            "stamps": list(chain.stamps),
+            "values": list(chain.values),
+            "max_readers": list(chain.max_readers),
+            "writer_ts": chain.stamps[-1],
+        }
+
+
+def all_versions(eng):
+    """Swap a freshly seeded engine's backend for AllVersionsMvto."""
+    model = AllVersionsMvto()
+    model.attach(eng)
+    for oid in eng.backend._store:
+        model.seed(oid, eng.read_committed(oid))
+    eng.backend = model
+    return eng
+
+
+def logged(eng, log):
+    """Log each step's read value and, after each step, every object's meta."""
+    read, write, commit = eng.read, eng.write, eng.commit
+    oids = sorted(eng.backend._store)
+
+    def after(result):
+        log.append((result, [eng.object_meta(oid) for oid in oids]))
+        return result
+
+    eng.read = lambda txn, oid: after(read(txn, oid))
+    eng.write = lambda txn, oid, value: after(write(txn, oid, value))
+    eng.commit = lambda txn: after(commit(txn))
+    return eng
+
+
+@pytest.mark.parametrize("make", [fresh_engine, eager_engine], ids=["resident", "eager-gc"])
+@pytest.mark.parametrize("blind", [False, True], ids=["read-write", "blind-write"])
+def test_chain_layout_matches_the_all_versions_model(make, blind):
+    # only a blind write lets an older writer in under a younger one:
+    # a younger writer that read the predecessor first refuses it
+    AllVersionsMvto.older_inserts = AllVersionsMvto.pruned = 0
+    rng = random.Random(53)
+    for _ in range(80):
+        script = random_script(rng, steps=80, slots=5)
+        got, want = [], []
+        got_labels = scripted_outcomes(logged(make(3), got), script, blind)
+        want_labels = scripted_outcomes(logged(all_versions(make(3)), want), script, blind)
+        assert got_labels == want_labels, script
+        assert got == want, script
+    if blind:
+        assert AllVersionsMvto.older_inserts > 0, "no older writer was inserted"
+    if make is eager_engine:
+        assert AllVersionsMvto.pruned > 0, "no pass pruned a version"
+
+
+def test_a_read_of_the_newest_version_skips_version_index(monkeypatch):
+    calls = []
+
+    def counted(stamps, ts):
+        calls.append(ts)
+        return version_index(stamps, ts)
+
+    # the module global, as the traced benchmark wraps it
+    monkeypatch.setattr(mvto, "version_index", counted)
+    eng = fresh_engine(1)
+    old = begin_until(eng, 2)
+    writer = begin_until(eng, 3)
+    eng.write(writer, 1, "v3")
+    assert eng.commit(writer).committed
+    del calls[:]
+    newest = eng.begin()
+    assert eng.read(newest, 1) == "v3"
+    assert calls == []
+    assert eng.read(old, 1) == 0  # the seeded version, older than the newest
+    assert calls == [old.ts]
+    eng.abort(newest)
+    eng.abort(old)
 
 
 @given(stamps=st.lists(st.integers(0, 120), unique=True, max_size=20).map(sorted),
