@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="verify a saved trace")
     check.add_argument("--trace", required=True, metavar="PATH")
-    check.add_argument("--multiversion", action="store_true",
-                       help="force multiversion conflict rules")
     return parser
 
 
@@ -114,10 +112,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    multiversion = True if args.multiversion else None
     try:
         history = load_trace(args.trace)
-        verdict = check_conflict_serializability(history, multiversion=multiversion)
+        verdict = check_conflict_serializability(history)
     except (ValueError, IncompleteHistory) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

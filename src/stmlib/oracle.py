@@ -252,19 +252,16 @@ def _find_cycle(succ: dict[int, list[int]], remaining: list[int]):
     return cycle
 
 
-def check_conflict_serializability(
-    history: History, *, multiversion: bool | None = None
-) -> Verdict:
+def check_conflict_serializability(history: History) -> Verdict:
     """Decide whether the committed part of a history is serializable.
 
     Aborted transactions never published an effect and are ignored.
-    With multiversion=None the history's recorded protocol decides how
-    read-write conflicts are ordered.  The witness is the topological
-    order that always emits the smallest ready timestamp.
+    The history's recorded protocol decides how read-write conflicts
+    are ordered: version order for mvto, commit order otherwise.  The
+    witness is the topological order that always emits the smallest
+    ready timestamp.
     """
-    if multiversion is None:
-        multiversion = history.multiversion
-    succ, indeg = _precedence_graph(history.events, multiversion)
+    succ, indeg = _precedence_graph(history.events, history.multiversion)
     ready = [n for n, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
@@ -328,10 +325,11 @@ def save_trace(history: History, path):
 def load_trace(path) -> History:
     """Read a trace written by save_trace.
 
-    A line with a non-ASCII byte, a non-integer field, fewer than five
-    fields or an event kind outside 0..3, and a `# protocol=` header
-    with no name or a name outside `stmlib.protocols.PROTOCOLS`, raise
-    ValueError naming path:line.
+    A line with a non-ASCII byte, a non-integer field, an event kind
+    outside 0..3 or a field count other than six for a read (its last
+    field the version read) and five for any other kind, and a
+    `# protocol=` header with no name or a name outside
+    `stmlib.protocols.PROTOCOLS`, raise ValueError naming path:line.
     """
     history = History()
     # Undecodable bytes become lone surrogates, so the line that holds
@@ -363,6 +361,10 @@ def load_trace(path) -> History:
             seq, txn, ts, kind, oid = parts[:5]
             if kind not in _KIND_NAMES:
                 raise ValueError(f"{path}:{lineno}: unknown event kind {kind}, expected 0..3")
-            version_ts = parts[5] if len(parts) > 5 else None
+            want = 6 if kind == READ else 5
+            if len(parts) != want:
+                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, expected "
+                                 f"{want} for a {_KIND_NAMES[kind]} event")
+            version_ts = parts[5] if kind == READ else None
             history.events.append(Event(seq, txn, ts, kind, oid, version_ts))
     return history

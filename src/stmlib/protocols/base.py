@@ -23,8 +23,9 @@ resolves straight to it, so a read runs one Python frame.  In order:
    re-raise.  A refusal (TransactionAborted), NotFound, NoVisibleVersion,
    an unhashable id or anything else ends the transaction there, after
    the lock is released, as sgt's on_abort takes the graph lock.
-The three backends repeat the probes and the retire rather than share
-them, since a shared helper would add back the frame.
+The contract is implemented once, in `LockedStore.on_read`, which bto
+and mvto share; sgt repeats it around its graph lock rather than call a
+shared helper, since that would add back the frame.
 
 Backends log read and commit events into the engine's recorder from
 inside their own critical sections, so that the recorded sequence
@@ -81,17 +82,25 @@ class BackendBase:
 
 
 class LockedStore(BackendBase):
-    """Entries with one lock each, and the commit bto and mvto share.
+    """Entries with one lock each, and the read and commit bto and mvto share.
 
     Subclasses set `entry_type` and `refusal`, the AbortReason of a
     failed validation.  An entry is built as `entry_type(stamp, value)`,
-    stamp 0 when seeded, and provides `lock`, `admits(ts)` and
-    `install(ts, value)`.  A writing commit locks its existing entries
-    in ascending oid order, tests each with `admits`, records the commit
-    and only then installs into any, all before it releases the locks;
-    the entries it creates are still private to it until `_publish`
-    adds them to the store.  A recorder that raises therefore leaves
-    nothing published.
+    stamp 0 when seeded, and provides `lock`, `value`, `max_read`,
+    `max_write` (the stamp of `value`, the newest committed version),
+    `read_older(ts, oid)`, `admits(ts)` and `install(ts, value)`.
+
+    A read younger than `max_write` raises `max_read` and takes `value`
+    inline.  Any other reader calls `read_older`, which applies the
+    entry type's own rule and returns the `(stamp, value)` it read or
+    raises.  That call adds a frame only on the rare older-reader path,
+    so the common read costs no more than an inline one.
+
+    A writing commit locks its existing entries in ascending oid order,
+    tests each with `admits`, records the commit and only then installs
+    into any, all before it releases the locks; the entries it creates
+    are still private to it until `_publish` adds them to the store.  A
+    recorder that raises therefore leaves nothing published.
     """
 
     def __init__(self):
@@ -111,6 +120,47 @@ class LockedStore(BackendBase):
         if entry is None:
             raise NotFound(f"object {oid}")
         return entry
+
+    def on_read(self, txn, oid: int):
+        if txn.status is not LIVE:
+            self.engine._require_live(txn)
+        try:
+            write_set = txn.write_set
+            if write_set and oid in write_set:
+                return write_set[oid]
+            read_set = txn.read_set
+            if oid in read_set:
+                return read_set[oid]
+            try:
+                entry = self._store[oid]
+            except KeyError:
+                raise NotFound(f"object {oid}") from None
+            ts = txn.ts
+            lock = entry.lock
+            lock.acquire()
+            try:
+                if ts > entry.max_write:
+                    if ts > entry.max_read:
+                        entry.max_read = ts
+                    stamp = entry.max_write
+                    value = entry.value
+                else:
+                    stamp, value = entry.read_older(ts, oid)
+                rec = self.engine.recorder
+                if rec is not None:
+                    rec.record_read(ts, oid, stamp)
+                read_set[oid] = value
+            finally:
+                lock.release()
+        except BaseException:
+            self.engine._retire(txn, ABORTED)
+            raise
+        return value
+
+    def read_committed(self, oid: int):
+        entry = self._entry(oid)
+        with entry.lock:
+            return entry.value
 
     def commit(self, txn):
         ts = txn.ts

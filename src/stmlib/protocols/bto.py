@@ -8,14 +8,18 @@ strict, so a transaction never conflicts with its own earlier reads.
 The largest write stamp is also the stamp of the committed value: a
 commit passes only when its stamp is not below it, and then raises it
 to that stamp.
+
+An entry's slots are `value`, `max_read` and `max_write`, the names
+mvto gives its newest version, so both run `LockedStore.on_read`; the
+refusal of a reader older than `max_write` is `_Entry.read_older`.
 """
 
 from __future__ import annotations
 
 import threading
 
-from ..errors import AbortReason, NotFound, TransactionAborted
-from .base import ABORTED, LIVE, LockedStore
+from ..errors import AbortReason, TransactionAborted
+from .base import LockedStore
 
 
 class _Entry:
@@ -26,6 +30,15 @@ class _Entry:
         self.value = value
         self.max_read = 0
         self.max_write = stamp
+
+    def read_older(self, ts, oid):
+        # a younger write has committed; at ts == max_write, which no
+        # run reaches (stamps are unique), the reader is admitted
+        if ts < self.max_write:
+            raise TransactionAborted(AbortReason.STALE_READ)
+        if ts > self.max_read:
+            self.max_read = ts
+        return self.max_write, self.value
 
     def admits(self, ts):
         return ts >= self.max_write and ts >= self.max_read
@@ -39,44 +52,6 @@ class BtoBackend(LockedStore):
     name = "bto"
     entry_type = _Entry
     refusal = AbortReason.STALE_WRITE
-
-    def on_read(self, txn, oid: int):
-        if txn.status is not LIVE:
-            self.engine._require_live(txn)
-        try:
-            write_set = txn.write_set
-            if write_set and oid in write_set:
-                return write_set[oid]
-            read_set = txn.read_set
-            if oid in read_set:
-                return read_set[oid]
-            try:
-                entry = self._store[oid]
-            except KeyError:
-                raise NotFound(f"object {oid}") from None
-            ts = txn.ts
-            lock = entry.lock
-            lock.acquire()
-            try:
-                if ts < entry.max_write:
-                    raise TransactionAborted(AbortReason.STALE_READ)
-                if ts > entry.max_read:
-                    entry.max_read = ts
-                rec = self.engine.recorder
-                if rec is not None:
-                    rec.record_read(ts, oid, entry.max_write)
-                value = read_set[oid] = entry.value
-            finally:
-                lock.release()
-        except BaseException:
-            self.engine._retire(txn, ABORTED)
-            raise
-        return value
-
-    def read_committed(self, oid: int):
-        entry = self._entry(oid)
-        with entry.lock:
-            return entry.value
 
     def object_meta(self, oid: int) -> dict:
         entry = self._entry(oid)

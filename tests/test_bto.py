@@ -2,7 +2,14 @@
 
 import pytest
 
-from stmlib import AbortReason, BenchConfig, Engine, TransactionAborted, run_benchmark
+from stmlib import (
+    AbortReason,
+    BenchConfig,
+    Engine,
+    HistoryRecorder,
+    TransactionAborted,
+    run_benchmark,
+)
 from stmlib.core import Transaction
 from stmlib.oracle import READ
 from stmlib.protocols import make_backend
@@ -96,6 +103,23 @@ def test_max_read_keeps_the_maximum():
     drive_read(backend, 5)
     drive_read(backend, 4)  # older reader arrives late
     assert backend.object_meta(1)["max_read"] == 5
+
+
+def test_reader_at_max_write_is_admitted_through_engine_read():
+    # stamps are unique, so no run reads at ts == max_write; the rule
+    # admits such a reader and bumps max_read
+    rec = HistoryRecorder()
+    eng = Engine("bto", recorder=rec)
+    oid = eng.seed_object("v0")
+    eng.backend._store[oid].install(3, "v3")
+    for _ in range(2):
+        eng.abort(eng.begin())
+    reader = eng.begin()
+    assert reader.ts == 3
+    assert eng.read(reader, oid) == "v3"
+    meta = eng.object_meta(oid)
+    assert (meta["max_read"], meta["max_write"]) == (3, 3)
+    assert [e.version_ts for e in rec.history().events if e.kind == READ] == [3]
 
 
 def rig_refusal(backend, oid, ts):

@@ -99,23 +99,25 @@ def test_check_flags_a_doctored_trace(tmp_path, capsys):
 
 
 def test_check_multiversion_flag_changes_the_rules(tmp_path, capsys):
-    # old-snapshot reader: a cycle in commit order, clean in version order
-    trace = tmp_path / "mv.trace"
-    h = history_of([
+    # old-snapshot reader: a cycle in commit order, clean in version
+    # order; the trace's protocol header alone picks the rules
+    steps = [
         (1, READ, 1, 0),
         (2, WRITE, 1), (2, WRITE, 2), (2, COMMIT),
         (1, READ, 2, 0),
         (1, COMMIT),
-    ])
-    save_trace(h, trace)
+    ]
+    trace = tmp_path / "mv.trace"
+    save_trace(history_of(steps, protocol="bto"), trace)
     assert main(["check", "--trace", str(trace)]) == 1
-    assert main(["check", "--trace", str(trace), "--multiversion"]) == 0
+    save_trace(history_of(steps, protocol="mvto"), trace)
+    assert main(["check", "--trace", str(trace)]) == 0
 
 
 @pytest.mark.parametrize("content, message", [
     (None, "run.trace"),
-    ("1 1 1 0 5\nnot a line\n", "run.trace:2: non-integer field"),
-    ("1 1 1 0 5\n2 1 1\n", "run.trace:2: 3 fields"),
+    ("1 1 1 0 5 0\nnot a line\n", "run.trace:2: non-integer field"),
+    ("1 1 1 0 5 0\n2 1 1\n", "run.trace:2: 3 fields"),
     ("1 1 1 0 5 0\n", "never terminated"),
     ("1 1 1 9 5\n1 1 1 2 0\n", "run.trace:1: unknown event kind 9"),
     # Far past the text reader's first read-ahead chunk.
@@ -123,8 +125,12 @@ def test_check_multiversion_flag_changes_the_rules(tmp_path, capsys):
      "run.trace:3000: non-ASCII byte"),
     ("# protocol=\n1 1 1 2 0\n", "run.trace:1: empty protocol name"),
     ("# protocol=MVTO\n1 1 1 2 0\n", "run.trace:1: unknown protocol name 'MVTO'"),
+    ("# protocol=mvto\n1 2 2 1 5\n2 2 2 2 0\n3 1 1 0 5\n4 1 1 2 0\n",
+     "run.trace:4: 5 fields, expected 6 for a read event"),
+    ("1 1 1 1 5 0\n2 1 1 2 0\n", "run.trace:1: 6 fields, expected 5 for a write event"),
 ], ids=["missing-file", "non-integer-field", "short-line", "incomplete-history",
-        "unknown-kind", "non-ascii", "empty-protocol", "unknown-protocol"])
+        "unknown-kind", "non-ascii", "empty-protocol", "unknown-protocol",
+        "read-without-version", "extra-field"])
 def test_check_bad_trace_is_an_error(tmp_path, capsys, content, message):
     trace = tmp_path / "run.trace"
     if content is not None:

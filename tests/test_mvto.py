@@ -13,6 +13,7 @@ from stmlib import (
     AbortReason,
     BenchConfig,
     Engine,
+    HistoryRecorder,
     NoVisibleVersion,
     TxnStatus,
     run_benchmark,
@@ -111,6 +112,24 @@ def test_reader_between_stamps_and_bump():
     assert backend.object_meta(1)["stamps"] == [0, 3, 7]
     assert backend.on_read(Transaction(5), 1) == "v3"
     assert backend.object_meta(1)["max_readers"] == [0, 5, 0]
+
+
+def test_reader_at_a_version_stamp_reads_the_version_below_it():
+    # version_index takes the newest stamp strictly below the reader's,
+    # for an older version and for the newest one alike
+    rec = HistoryRecorder()
+    eng = keep_resident(Engine("mvto", recorder=rec))
+    oid = eng.new_object_id()
+    chain = eng.backend.entry_type(0, "v0")
+    for stamp in (3, 5, 7):
+        chain.install(stamp, f"v{stamp}")
+    eng.backend._store[oid] = chain
+    assert eng.read(begin_until(eng, 5), oid) == "v3"
+    assert eng.read(begin_until(eng, 7), oid) == "v5"
+    meta = eng.object_meta(oid)
+    assert meta["stamps"] == [0, 3, 5, 7]
+    assert meta["max_readers"] == [0, 5, 7, 0]
+    assert [e.version_ts for e in rec.history().events if e.kind == READ] == [3, 5]
 
 
 def test_writer_aborts_under_a_younger_reader():

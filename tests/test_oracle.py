@@ -38,7 +38,7 @@ def test_lost_update_is_not_serializable():
         (2, WRITE, 1),
         (2, COMMIT),
     ])
-    verdict = check_conflict_serializability(h, multiversion=False)
+    verdict = check_conflict_serializability(h)
     assert not verdict.serializable
     assert verdict.witness is None
     assert sorted(verdict.cycle) == [1, 2]
@@ -54,7 +54,7 @@ def test_sequential_writers_serialize_in_commit_order():
         (2, WRITE, 1),
         (2, COMMIT),
     ])
-    verdict = check_conflict_serializability(h, multiversion=False)
+    verdict = check_conflict_serializability(h)
     assert verdict.serializable
     assert verdict.witness == [1, 2]
 
@@ -65,7 +65,7 @@ def test_witness_prefers_timestamp_order_when_free():
         (1, READ, 1, 0), (1, COMMIT),
         (2, READ, 2, 0), (2, COMMIT),
     ])
-    verdict = check_conflict_serializability(h, multiversion=False)
+    verdict = check_conflict_serializability(h)
     assert verdict.witness == [1, 2, 3]
 
 
@@ -79,7 +79,7 @@ def test_aborted_transactions_leave_no_edges():
         (1, WRITE, 1),
         (1, COMMIT),
     ])
-    verdict = check_conflict_serializability(h, multiversion=False)
+    verdict = check_conflict_serializability(h)
     assert verdict.serializable
     assert verdict.witness == [1]
 
@@ -87,11 +87,11 @@ def test_aborted_transactions_leave_no_edges():
 def test_unterminated_transaction_is_rejected():
     h = history_of([(1, READ, 1, 0)])
     with pytest.raises(IncompleteHistory):
-        check_conflict_serializability(h, multiversion=False)
+        check_conflict_serializability(h)
 
 
 def test_empty_history_is_serializable():
-    verdict = check_conflict_serializability(History(), multiversion=False)
+    verdict = check_conflict_serializability(History())
     assert verdict.serializable
     assert verdict.witness == []
 
@@ -101,7 +101,7 @@ def test_graph_checker_matches_brute_force():
     agree_sat = agree_unsat = 0
     for _ in range(400):
         h = random_single_version_history(rng)
-        verdict = check_conflict_serializability(h, multiversion=False)
+        verdict = check_conflict_serializability(h)
         expected = brute_force_serializable(h)
         assert verdict.serializable == expected
         if expected:
@@ -117,7 +117,7 @@ def test_multiversion_checker_matches_brute_force():
     agree_sat = agree_unsat = 0
     for _ in range(400):
         h = random_multiversion_history(rng)
-        verdict = check_conflict_serializability(h, multiversion=True)
+        verdict = check_conflict_serializability(h)
         expected = brute_force_multiversion_serializable(h)
         assert verdict.serializable == expected
         if expected:
@@ -132,7 +132,7 @@ def test_witness_replays_every_read():
     checked = 0
     for _ in range(300):
         h = random_single_version_history(rng)
-        verdict = check_conflict_serializability(h, multiversion=False)
+        verdict = check_conflict_serializability(h)
         if not verdict.serializable:
             continue
         reads = {}
@@ -190,7 +190,8 @@ def assert_cycles_are_closed_walks_of_conflicts(generate, multiversion: bool):
     found = 0
     for _ in range(300):
         h = generate(rng)
-        verdict = check_conflict_serializability(h, multiversion=multiversion)
+        assert h.multiversion == multiversion
+        verdict = check_conflict_serializability(h)
         if verdict.serializable:
             continue
         cycle = verdict.cycle
@@ -247,7 +248,9 @@ def test_protocol_field_selects_the_edge_rules():
     ], protocol="mvto")
     assert h.multiversion
     assert check_conflict_serializability(h).serializable
-    forced = check_conflict_serializability(h, multiversion=False)
+    single = History(events=h.events, protocol="bto")
+    assert not single.multiversion
+    forced = check_conflict_serializability(single)
     assert not forced.serializable
     assert sorted(forced.cycle) == [1, 2]
 
@@ -344,8 +347,8 @@ def test_trace_round_trip(tmp_path):
     assert loaded.events == h.events
     assert loaded.protocol == "sgt"
     assert not loaded.multiversion
-    before = check_conflict_serializability(h, multiversion=False)
-    after = check_conflict_serializability(loaded, multiversion=False)
+    before = check_conflict_serializability(h)
+    after = check_conflict_serializability(loaded)
     assert before.serializable == after.serializable
     assert before.witness == after.witness
 
