@@ -13,7 +13,6 @@ from .errors import (
     IncompleteHistory,
     NotFound,
     NoVisibleVersion,
-    RetryLimitExceeded,
     StmError,
     TransactionAborted,
     TxnNotLive,
@@ -45,7 +44,6 @@ __all__ = [
     "IncompleteHistory",
     "NoVisibleVersion",
     "NotFound",
-    "RetryLimitExceeded",
     "StmError",
     "Transaction",
     "TransactionAborted",

@@ -95,8 +95,6 @@ class Engine:
             self._retire(txn, TxnStatus.ABORTED)
             raise NotFound(f"object {oid!r}")
         txn.write_set[oid] = value
-        if self.recorder is not None:
-            self.recorder.record_write_intent(txn.ts, oid)
 
     def commit(self, txn: Transaction) -> CommitResult:
         self._require_live(txn)

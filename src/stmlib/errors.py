@@ -58,10 +58,6 @@ class ValueOutOfRange(StmError):
     """A set key collides with one of the sentinel bounds."""
 
 
-class RetryLimitExceeded(StmError):
-    """A retried transaction body exhausted its attempt cap."""
-
-
 class IncompleteHistory(StmError):
     """A history was checked before every transaction terminated."""
 

@@ -2,7 +2,10 @@
 
 The engine appends one event per shared-memory effect to a
 HistoryRecorder: first reads (with the writer stamp they observed),
-write intents, commits and aborts.  After a run terminates, the
+the writes a commit published, commits and aborts.  A write stays
+private until its commit, so the commit logs its write set as WRITE
+events directly before its COMMIT, from the same critical section; a
+refused or failed commit logs no WRITE.  After a run terminates, the
 recorded history can be checked for conflict-serializability, which
 yields a witness order over the committed transactions, and that
 witness can be replayed at the set-operation level to confirm the run
@@ -30,7 +33,7 @@ a set operation is a fresh transaction with a fresh stamp.
 
 Trace files persist one event per line as space-separated decimal
 integers, `seq txn ts kind oid [version_ts]`, with kind encoded as
-0=read, 1=write-intent, 2=commit, 3=abort and oid 0 where an event has
+0=read, 1=write, 2=commit, 3=abort and oid 0 where an event has
 no object.  Lines starting with `#` are metadata or comments.
 """
 
@@ -102,8 +105,12 @@ class HistoryRecorder:
     Each event is four consecutive entries of one flat list, `txn, kind,
     oid, version_ts`, appended under the recorder lock, so the log order
     is the order of the callers' critical sections; an event's seq is
-    its position, counting from 1.  Set-level outcomes are kept as plain
-    tuples keyed by txn.  The list is one object to the cyclic collector
+    its position, counting from 1.  `record_commit` takes the writes
+    the commit published and logs them, then the COMMIT, in one append.
+    `record_write_intent` logs a single WRITE for callers that build a
+    history by hand; the engine never calls it.  Set-level outcomes are
+    kept as plain tuples keyed by txn.  The list is one object to the
+    cyclic collector
     and holds only untracked ints, and a plain tuple of atoms is untracked
     by the first collection it survives; an `Event` NamedTuple per effect
     would stay tracked for the recorder's whole life.  `history()` builds
@@ -129,8 +136,14 @@ class HistoryRecorder:
     def record_write_intent(self, txn: int, oid: int):
         self._append(txn, WRITE, oid, None)
 
-    def record_commit(self, txn: int):
-        self._append(txn, COMMIT, 0, None)
+    def record_commit(self, txn: int, writes=()):
+        """Log a WRITE per oid in `writes`, then the COMMIT, as one run."""
+        events = []
+        for oid in writes:
+            events += (txn, WRITE, oid, None)
+        events += (txn, COMMIT, 0, None)
+        with self._lock:
+            self._log += events
 
     def record_abort(self, txn: int):
         self._append(txn, ABORT, 0, None)

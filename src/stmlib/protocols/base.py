@@ -4,9 +4,11 @@ A backend owns the shared object store and every lock that guards it.
 The engine calls, per transaction: on_begin, commit (returning None or
 an AbortReason, after cleaning up the transaction's protocol state
 either way) and on_abort for voluntary or read-path aborts.  A commit
-records its COMMIT event before it publishes any write, inside the
-same critical section, so a commit that raises (a failing recorder)
-has changed no shared state; the engine then retires the transaction
+that passes validation calls `record_commit(ts, write_set)`, which logs
+the writes it is about to publish and then its COMMIT, before it
+installs anything, inside the same critical section.  A refused commit
+records no WRITE, and a commit that raises (a failing recorder) has
+changed no shared state; the engine then retires the transaction
 through on_abort.
 
 `on_read(txn, oid)` is the whole transactional read: `Engine.read`
@@ -97,10 +99,11 @@ class LockedStore(BackendBase):
     so the common read costs no more than an inline one.
 
     A writing commit locks its existing entries in ascending oid order,
-    tests each with `admits`, records the commit and only then installs
-    into any, all before it releases the locks; the entries it creates
-    are still private to it until `_publish` adds them to the store.  A
-    recorder that raises therefore leaves nothing published.
+    tests each with `admits`, records the commit with its write set and
+    only then installs into any, all before it releases the locks; the
+    entries it creates are still private to it until `_publish` adds
+    them to the store.  A recorder that raises therefore leaves nothing
+    published.
     """
 
     def __init__(self):
@@ -185,7 +188,7 @@ class LockedStore(BackendBase):
                 if not entry.admits(ts):
                     return self.refusal
             if rec is not None:
-                rec.record_commit(ts)
+                rec.record_commit(ts, write_set)
             for oid, entry in existing:
                 entry.install(ts, write_set[oid])
             self._publish(existing, fresh)

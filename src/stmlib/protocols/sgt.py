@@ -181,7 +181,7 @@ class SgtBackend(BackendBase):
                 return AbortReason.CYCLE_DETECTED
             rec = self.engine.recorder
             if rec is not None:
-                rec.record_commit(ts)
+                rec.record_commit(ts, write_set)
             for oid, value in write_set.items():
                 entry = self._store.get(oid)
                 if entry is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .core import TxnStatus
-from .errors import RetryLimitExceeded, TransactionAborted, ValueOutOfRange
+from .errors import TransactionAborted, ValueOutOfRange
 
 HEAD_KEY = -(2**63)
 TAIL_KEY = 2**63 - 1
@@ -98,39 +98,29 @@ class TransactionalSet:
         return values
 
 
-def execute_with_retry(
-    engine,
-    body: Callable,
-    retry_limit: int | None = None,
-    backoff: Callable[[int], None] | None = None,
-):
+def execute_with_retry(engine, body: Callable):
     """Run body(txn) in fresh transactions until one commits.
 
     Returns (value, retries, commit_ts).  Every retry is a new
-    transaction with a new, larger timestamp.  TransactionAborted from
-    body means retry; any other exception aborts the transaction, if
-    still live, and propagates without a retry.
+    transaction with a new, larger timestamp.  Any exception from body
+    aborts the transaction, if still live; TransactionAborted then means
+    retry, and anything else propagates without a retry.
     """
     retries = 0
     while True:
         txn = engine.begin()
         try:
             value = body(txn)
-        except TransactionAborted:
-            pass  # already aborted by the engine on the read path
-        except BaseException:
+        except BaseException as exc:
             if txn.status is TxnStatus.LIVE:
                 engine.abort(txn)
-            raise
+            if not isinstance(exc, TransactionAborted):
+                raise
         else:
             result = engine.commit(txn)
             if result.committed:
                 return value, retries, result.ts
         retries += 1
-        if retry_limit is not None and retries > retry_limit:
-            raise RetryLimitExceeded(f"gave up after {retries} attempts")
-        if backoff is not None:
-            backoff(retries)
 
 
 def run_op(engine, tset: TransactionalSet, kind: str, value: int | None = None):

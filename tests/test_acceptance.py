@@ -26,6 +26,7 @@ from stmlib import (
     run_op,
 )
 from stmlib.bench import CSV_HEADER, wall_clock
+from stmlib.oracle import COMMIT, WRITE
 from stmlib.protocols.mvto import version_index
 from stmlib.protocols.sgt import node_on_cycle
 from stmlib.txnset import HEAD_KEY, TAIL_KEY
@@ -43,36 +44,78 @@ class SlimRun(NamedTuple):
     witness: list
     set_ops: dict
     final_items: list
+    writes_ok: bool
+
+
+def writes_precede_commits(events, written) -> bool:
+    """Each commit's WRITEs are its write set, directly before its COMMIT.
+
+    `written` maps every committed txn to its write set's oids.  Every
+    WRITE event must belong to one of those blocks.
+    """
+    n_writes = 0
+    for i, e in enumerate(events):
+        if e.kind == WRITE:
+            n_writes += 1
+        elif e.kind == COMMIT:
+            oids = written.get(e.txn)
+            if oids is None or len(oids) > i:
+                return False
+            block = events[i - len(oids):i]
+            if any(w.kind != WRITE or w.txn != e.txn for w in block):
+                return False
+            if {w.oid for w in block} != set(oids):
+                return False
+    return n_writes == sum(map(len, written.values()))
 
 
 @pytest.fixture(scope="module")
 def recorded_runs():
     """20 seeded 4x2000-op runs per protocol, with witnesses.
 
-    Only the witness and op outcomes are retained; keeping 60 full
-    event logs alive at once would hold north of a gigabyte.
+    Only the witness, op outcomes and the WRITE invariant are retained;
+    keeping 60 full event logs alive at once would hold north of a
+    gigabyte.  `Engine.commit` is wrapped for the fixture's duration to
+    note each committed transaction's write set.
     """
     t0 = time.monotonic()
     runs = []
-    for protocol in PROTOCOLS:
-        for seed in range(1, 21):
-            cfg = BenchConfig(protocol=protocol, threads=4, ops=2000,
-                              key_lo=1, key_hi=20, update_rate=0.7,
-                              seed=seed, record_history=True)
-            report = run_benchmark(cfg)
-            verdict = check_conflict_serializability(report.history)
-            runs.append(SlimRun(protocol, seed, bool(verdict.serializable),
-                                bool(report.replay_ok), verdict.witness or [],
-                                report.history.set_ops, report.final_items))
+    written = {}
+    commit = Engine.commit
+
+    def noting_commit(self, txn):
+        result = commit(self, txn)
+        if result.committed:
+            written[txn.ts] = tuple(txn.write_set)
+        return result
+
+    Engine.commit = noting_commit
+    try:
+        for protocol in PROTOCOLS:
+            for seed in range(1, 21):
+                cfg = BenchConfig(protocol=protocol, threads=4, ops=2000,
+                                  key_lo=1, key_hi=20, update_rate=0.7,
+                                  seed=seed, record_history=True)
+                written.clear()
+                report = run_benchmark(cfg)
+                verdict = check_conflict_serializability(report.history)
+                runs.append(SlimRun(protocol, seed, bool(verdict.serializable),
+                                    bool(report.replay_ok), verdict.witness or [],
+                                    report.history.set_ops, report.final_items,
+                                    writes_precede_commits(report.history.events, written)))
+    finally:
+        Engine.commit = commit
     return runs, time.monotonic() - t0
 
 
 def test_every_history_serializes_and_replays(recorded_runs):
     runs, elapsed = recorded_runs
     good = sum(1 for run in runs if run.serializable and run.replay_ok)
-    ok = good == len(runs) == 60 and elapsed < 300
+    writes = sum(1 for run in runs if run.writes_ok)
+    ok = good == writes == len(runs) == 60 and elapsed < 300
     announce("serializability", ok,
-             f"{good}/{len(runs)} runs serializable with clean replay "
+             f"{good}/{len(runs)} runs serializable with clean replay, "
+             f"{writes} with every WRITE in its commit's block, "
              f"in {elapsed:.1f}s (budget 300s)")
     assert ok
 

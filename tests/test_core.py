@@ -272,6 +272,24 @@ def test_recorder_sees_the_expected_events(protocol):
     assert kinds == [READ, WRITE, COMMIT, ABORT]
     read = rec.history().events[0]
     assert read.oid == oid and read.version_ts == 0
+    # write skew: each reads what the other writes, so one commit is
+    # refused (the first under bto and mvto, the second under sgt) and
+    # records an ABORT but no WRITE
+    x, y = eng.seed_object(0), eng.seed_object(0)
+    t1, t2 = eng.begin(), eng.begin()
+    eng.read(t1, x)
+    eng.read(t2, y)
+    eng.write(t1, y, 1)
+    eng.write(t2, x, 1)
+    committed = [eng.commit(t1).committed, eng.commit(t2).committed]
+    if protocol == "sgt":
+        assert committed == [True, False]
+        tail = [(t1.ts, WRITE, y), (t1.ts, COMMIT, 0), (t2.ts, ABORT, 0)]
+    else:
+        assert committed == [False, True]
+        tail = [(t1.ts, ABORT, 0), (t2.ts, WRITE, x), (t2.ts, COMMIT, 0)]
+    events = [(e.txn, e.kind, e.oid) for e in rec.history().events[4:]]
+    assert events == [(t1.ts, READ, x), (t2.ts, READ, y)] + tail
 
 
 def test_commit_result_carries_reason():
@@ -387,10 +405,10 @@ def test_a_raising_read_releases_its_lock(protocol, setup, recorder, raised, rea
 class _CommitFailingRecorder(HistoryRecorder):
     failing = True
 
-    def record_commit(self, txn):
+    def record_commit(self, txn, writes=()):
         if self.failing:
             raise RuntimeError("recorder failed")
-        super().record_commit(txn)
+        super().record_commit(txn, writes)
 
 
 @pytest.mark.parametrize("writes", [True, False], ids=["writing", "read-only"])
@@ -407,7 +425,8 @@ def test_a_raising_commit_publishes_nothing_and_retires(protocol, writes):
     assert txn.status is TxnStatus.ABORTED
     assert eng.min_active_ts() > txn.ts
     assert eng.read_committed(oid) == "old"
-    assert not [e for e in rec.history().events if e.kind == COMMIT and e.txn == txn.ts]
+    assert not [e for e in rec.history().events
+                if e.kind in (WRITE, COMMIT) and e.txn == txn.ts]
     backend = eng.backend
     if protocol == "sgt":
         assert backend._glock.locked() is False

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stmlib import (
+    AbortReason,
     Engine,
     HistoryRecorder,
     NotFound,
-    RetryLimitExceeded,
+    TransactionAborted,
     TransactionalSet,
     TxnStatus,
     ValueOutOfRange,
@@ -231,36 +232,26 @@ def test_execute_with_retry_survives_read_aborts():
     assert retries == 1
 
 
-def test_retry_limit_and_backoff():
-    eng = Engine("bto")
-    oid = eng.seed_object(0)
-    waits = []
+def test_a_body_raising_transaction_aborted_is_retired_then_retried(protocol):
+    eng = Engine(protocol)
+    tset = TransactionalSet(eng)
+    txns = []
 
     def body(txn):
-        eng.read(txn, oid)
-        other = eng.begin()
-        eng.write(other, oid, 1)
-        assert eng.commit(other).committed
-        eng.write(txn, oid, 2)
+        txns.append(txn)
+        tset.add(txn, 5)
+        if len(txns) == 1:
+            raise TransactionAborted(AbortReason.STALE_READ)
+        return True
 
-    with pytest.raises(RetryLimitExceeded):
-        execute_with_retry(eng, body, retry_limit=3, backoff=waits.append)
-    assert waits == [1, 2, 3]
-
-
-def test_retry_limit_zero_means_one_attempt():
-    eng = Engine("bto")
-    oid = eng.seed_object(0)
-
-    def body(txn):
-        eng.read(txn, oid)
-        other = eng.begin()
-        eng.write(other, oid, 1)
-        assert eng.commit(other).committed
-        eng.write(txn, oid, 2)
-
-    with pytest.raises(RetryLimitExceeded):
-        execute_with_retry(eng, body, retry_limit=0)
+    value, retries, _ = execute_with_retry(eng, body)
+    assert (value, retries) == (True, 1)
+    assert txns[0].status is TxnStatus.ABORTED
+    assert eng.min_active_ts() == eng._next_ts
+    eng.collect()
+    if protocol == "sgt":
+        assert eng.backend.graph_size() == 0
+    assert tset.committed_items() == [5]
 
 
 def _add_then_divide(eng, tset):
