@@ -31,12 +31,6 @@ if hasattr(time, "CLOCK_MONOTONIC_RAW"):
 else:  # pragma: no cover
     wall_clock = time.monotonic
 
-if hasattr(time, "CLOCK_PROCESS_CPUTIME_ID"):
-    def process_cpu() -> float:
-        return time.clock_gettime(time.CLOCK_PROCESS_CPUTIME_ID)
-else:  # pragma: no cover
-    process_cpu = time.process_time
-
 OP_KINDS = ("add", "remove", "contains")
 
 CSV_HEADER = (
@@ -184,11 +178,11 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         t.start()
     barrier.wait()
     wall0 = wall_clock()
-    cpu0 = process_cpu()
+    cpu0 = time.process_time()
     for t in workers:
         t.join()
     wall1 = wall_clock()
-    cpu1 = process_cpu()
+    cpu1 = time.process_time()
 
     for outcome in results:
         if isinstance(outcome, BaseException):

@@ -16,6 +16,7 @@ import sys
 from .bench import BenchConfig, emit_report, run_benchmark
 from .errors import ConfigInvalid, IncompleteHistory
 from .oracle import check_conflict_serializability, load_trace, save_trace
+from .protocols import PROTOCOLS
 
 
 def _parse_threads(text: str) -> list[int]:
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="run the set workload")
-    bench.add_argument("--protocol", required=True, choices=["bto", "sgt", "mvto"])
+    bench.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
     bench.add_argument("--threads", type=_parse_threads, default=[1],
                        metavar="N|A:B:S|N1,N2,...")
     group = bench.add_mutually_exclusive_group(required=True)

@@ -67,7 +67,6 @@ class Engine:
         self._next_ts = 1
         self._next_oid = 1
         self._live: set[int] = set()
-        self._commits_since_gc = 0
         self.backend.attach(self)
 
     # -- lifecycle ----------------------------------------------------
@@ -109,7 +108,6 @@ class Engine:
             self._retire(txn, TxnStatus.ABORTED, backend_done=True)
             return CommitResult(False, txn.ts, reason)
         self._retire(txn, TxnStatus.COMMITTED, backend_done=True)
-        self._count_commit()
         return CommitResult(True, txn.ts)
 
     def abort(self, txn: Transaction):
@@ -128,6 +126,14 @@ class Engine:
         txn.status = status
         with self._meta_lock:
             self._live.discard(txn.ts)
+        # Every transaction ends here, so the stamp clock times the
+        # automatic pass, which runs before the abort record so that a
+        # recorder that raises cannot skip it.  The pass goes through the
+        # instance attribute, so a wrapper or a stand-in set on the
+        # engine sees every one.
+        period = self.backend.gc_period
+        if period is not None and txn.ts % period == 0:
+            self.collect()
         if status is TxnStatus.ABORTED and self.recorder is not None:
             self.recorder.record_abort(txn.ts)
 
@@ -166,18 +172,3 @@ class Engine:
 
     def collect(self) -> int:
         return self.backend.collect(self.min_active_ts())
-
-    def _count_commit(self):
-        # The pass goes through the instance attribute, so a wrapper or a
-        # stand-in set on the engine sees every automatic pass.
-        period = self.backend.gc_period
-        if period is None:
-            return
-        run = False
-        with self._meta_lock:
-            self._commits_since_gc += 1
-            if self._commits_since_gc >= period:
-                self._commits_since_gc = 0
-                run = True
-        if run:
-            self.collect()

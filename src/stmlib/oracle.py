@@ -339,12 +339,16 @@ def load_trace(path) -> History:
     """Read a trace written by save_trace.
 
     A line with a non-ASCII byte, a non-integer field, an event kind
-    outside 0..3 or a field count other than six for a read (its last
-    field the version read) and five for any other kind, and a
+    outside 0..3, a field count other than six for a read (its last
+    field the version read) and five for any other kind, a seq that is
+    not above the previous line's or a ts other than its txn, and a
     `# protocol=` header with no name or a name outside
     `stmlib.protocols.PROTOCOLS`, raise ValueError naming path:line.
+    The single-version rules order conflicts by seq, so a trace whose
+    seqs do not increase would be misread, not merely mislabelled.
     """
     history = History()
+    last_seq = None
     # Undecodable bytes become lone surrogates, so the line that holds
     # one can be named instead of failing somewhere in a read-ahead chunk.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -378,6 +382,11 @@ def load_trace(path) -> History:
             if len(parts) != want:
                 raise ValueError(f"{path}:{lineno}: {len(parts)} fields, expected "
                                  f"{want} for a {_KIND_NAMES[kind]} event")
+            if last_seq is not None and seq <= last_seq:
+                raise ValueError(f"{path}:{lineno}: seq {seq} does not follow seq {last_seq}")
+            if ts != txn:
+                raise ValueError(f"{path}:{lineno}: ts {ts} differs from txn {txn}")
+            last_seq = seq
             version_ts = parts[5] if kind == READ else None
             history.events.append(Event(seq, txn, ts, kind, oid, version_ts))
     return history

@@ -61,7 +61,9 @@ ABORTED = TxnStatus.ABORTED
 
 
 class BackendBase:
-    #: commits between automatic garbage collection passes; None: never
+    #: stamps between automatic garbage collection passes: the engine runs
+    #: one when a transaction whose stamp is a multiple of it ends,
+    #: committed or aborted; None: never
     gc_period: int | None = None
 
     def __init__(self):

@@ -128,9 +128,14 @@ def test_check_multiversion_flag_changes_the_rules(tmp_path, capsys):
     ("# protocol=mvto\n1 2 2 1 5\n2 2 2 2 0\n3 1 1 0 5\n4 1 1 2 0\n",
      "run.trace:4: 5 fields, expected 6 for a read event"),
     ("1 1 1 1 5 0\n2 1 1 2 0\n", "run.trace:1: 6 fields, expected 5 for a write event"),
+    # Read in seq order, this bto history is not serializable; read in
+    # line order, it would be.
+    ("# protocol=bto\n1 1 1 0 1 0\n5 2 2 0 1 0\n3 1 1 1 1\n4 1 1 2 0\n5 2 2 1 1\n"
+     "6 2 2 2 0\n", "run.trace:4: seq 3 does not follow seq 5"),
+    ("# protocol=mvto\n1 1 7 0 1 0\n2 1 9 2 0\n", "run.trace:2: ts 7 differs from txn 1"),
 ], ids=["missing-file", "non-integer-field", "short-line", "incomplete-history",
         "unknown-kind", "non-ascii", "empty-protocol", "unknown-protocol",
-        "read-without-version", "extra-field"])
+        "read-without-version", "extra-field", "seq-not-increasing", "ts-not-txn"])
 def test_check_bad_trace_is_an_error(tmp_path, capsys, content, message):
     trace = tmp_path / "run.trace"
     if content is not None:

@@ -228,22 +228,37 @@ def test_unknown_protocol_rejected():
 
 
 def test_default_gc_periods():
-    """Automatic passes: sgt after every commit, mvto after every 256th,
-    bto never."""
-    expected = {"bto": [], "sgt": list(range(1, 601)), "mvto": [256, 512]}
+    """Automatic passes run on the transaction clock: one where a
+    transaction ends, committed or aborted, whose stamp is a multiple of
+    the backend's period.  The period is 1 stamp for sgt and 256 for
+    mvto; bto has none."""
+    expected = {"bto": [], "sgt": list(range(1, 602)), "mvto": [256, 512]}
     for protocol, after in expected.items():
         eng = Engine(protocol)
         oid = eng.seed_object(0)
-        passes = []  # the commit count at each automatic pass
-        eng.collect = lambda: passes.append(commits)
-        for commits in range(1, 601):
+        passes = []  # the stamp of the ending transaction at each automatic pass
+        eng.collect = lambda: passes.append(txn.ts)
+        for _ in range(600):
             txn = eng.begin()
-            eng.write(txn, oid, commits)
+            eng.write(txn, oid, txn.ts)
             assert eng.commit(txn).committed
-        loser = eng.begin()
-        eng.write(loser, oid, -1)
-        eng.abort(loser)  # an abort is not a commit
+        txn = eng.begin()
+        eng.write(txn, oid, -1)
+        eng.abort(txn)  # stamp 601: an abort ends a transaction too
         assert passes == after, protocol
+    # mvto: stamp 256 runs the pass even when that transaction aborts
+    eng = Engine("mvto")
+    oid = eng.seed_object(0)
+    passes = []
+    eng.collect = lambda: passes.append(txn.ts)
+    for _ in range(255):
+        txn = eng.begin()
+        eng.write(txn, oid, txn.ts)
+        assert eng.commit(txn).committed
+    txn = eng.begin()
+    assert txn.ts == 256
+    eng.abort(txn)
+    assert passes == [256]
 
 
 def test_min_active_ts_tracks_live_set(protocol):

@@ -7,13 +7,20 @@ k-th call of that hook raising.  The hooks are the recorder's
 op body, which raises after the set operation has done its reads and
 writes.  After each fault the engine must be quiescent: no transaction
 LIVE, no lock held, the oldest active stamp the next one to be handed
-out, the sgt graph empty and every mvto chain down to one version after
-a collection pass, and a fresh transaction still commits.
+out, the sgt graph already emptied by the automatic pass, every mvto
+chain down to one version after a collection pass, and a fresh
+transaction still commits.
+
+A second sweep runs two workers on one engine and set, and raises at
+the k-th `record_read` or `record_commit` call that worker 1 makes.
+Worker 0 must still finish its own script, the engine must be
+quiescent as above, and the recorded history must serialize and replay.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from collections import Counter
 
 import pytest
@@ -25,6 +32,8 @@ from stmlib import (
     TransactionAborted,
     TransactionalSet,
     TxnStatus,
+    check_conflict_serializability,
+    replay_check,
     run_op,
 )
 
@@ -137,12 +146,11 @@ def _assert_quiescent(eng, faults, begun):
     backend = eng.backend
     if eng.protocol == "sgt":
         assert backend._glock.locked() is False
+        assert backend.graph_size() == 0  # the automatic pass as the last one ended
     else:
         assert backend._store_lock.locked() is False
         assert not any(entry.lock.locked() for entry in backend._store.values())
     eng.collect()
-    if eng.protocol == "sgt":
-        assert backend.graph_size() == 0
     if eng.protocol == "mvto":
         assert not any(chain.stamps for chain in backend._store.values())
     txn = eng.begin()
@@ -179,3 +187,89 @@ def test_every_fault_leaves_the_engine_quiescent(protocol, hook, make):
         else:
             assert escaped is faults.fired, (hook, k)
         _assert_quiescent(eng, faults, begun)
+
+
+class _WorkerFaults(_Faults):
+    """Raises RuntimeError at worker 1's k-th call of `hook`.
+
+    Each thread counts its own calls; a thread that has not set
+    `local.worker` to 1 never raises.
+    """
+
+    def __init__(self, hook, k):
+        super().__init__(hook, k, RuntimeError)
+        self.local = threading.local()
+
+    def tick(self, hook):
+        local = self.local
+        if hook == self.hook and getattr(local, "worker", None) == 1:
+            local.calls = getattr(local, "calls", 0) + 1
+            if local.calls == self.k:
+                self.fired = self.make(f"fault at worker 1's {hook} call {self.k}")
+                raise self.fired
+
+
+@pytest.mark.parametrize("hook", ["record_read", "record_commit"])
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_a_fault_in_one_worker_leaves_the_other_running(protocol, hook, k):
+    faults = _WorkerFaults(hook, k)
+    eng = Engine(protocol, recorder=faults)
+    tset = TransactionalSet(eng)
+    for key in range(1, 9, 2):
+        run_op(eng, tset, "add", key)
+    begun = []
+    begin = eng.begin
+
+    def noting_begin():
+        txn = begin()
+        begun.append(txn)
+        return txn
+
+    eng.begin = noting_begin
+    # Worker 0 stops inside its first op, after the op's reads and before
+    # its commit, until worker 1 has failed: the fault always lands while
+    # another transaction is live.
+    paused, failed = threading.Event(), threading.Event()
+    for name in SET_OPS:
+        def op(txn, *args, _op=getattr(tset, name)):
+            result = _op(txn, *args)
+            if faults.local.worker == 0 and not paused.is_set():
+                paused.set()
+                failed.wait(timeout=10)
+            return result
+        setattr(tset, name, op)
+    scripts = [_script(seed=11 + i, ops=40, keys=8) for i in range(2)]
+    results = [None, None]
+
+    def worker(idx):
+        faults.local.worker = idx
+        if idx == 1:
+            paused.wait(timeout=10)
+        done = 0
+        try:
+            for kind, key in scripts[idx]:
+                run_op(eng, tset, kind, None if kind == "snapshot" else key)
+                done += 1
+        except Exception as exc:
+            results[idx] = exc
+            return
+        finally:
+            if idx == 1:
+                failed.set()
+        results[idx] = done
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert paused.is_set()
+    assert faults.fired is not None
+    assert results[1] is faults.fired
+    assert results[0] == len(scripts[0])
+    history = faults.history()
+    verdict = check_conflict_serializability(history)
+    assert verdict.serializable
+    assert replay_check(history, verdict.witness, tset.committed_items())
+    _assert_quiescent(eng, faults, begun)

@@ -14,7 +14,14 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stmlib import AbortReason, BenchConfig, Engine, TransactionAborted, run_benchmark
+from stmlib import (
+    AbortReason,
+    BenchConfig,
+    Engine,
+    HistoryRecorder,
+    TransactionAborted,
+    run_benchmark,
+)
 from stmlib.protocols.sgt import node_on_cycle
 
 
@@ -185,7 +192,7 @@ def test_gc_examples():
 
 
 def test_quiescence_drains_graph_to_zero():
-    eng = Engine("sgt")  # collect after every commit
+    eng = Engine("sgt")  # a pass as each transaction ends
     oid = eng.seed_object(0)
     for _ in range(50):
         txn = eng.begin()
@@ -196,6 +203,32 @@ def test_quiescence_drains_graph_to_zero():
             continue
         eng.commit(txn)
     eng.collect()
+    assert eng.backend.graph_size() == 0
+
+
+class _AbortRecordFails(HistoryRecorder):
+    def record_abort(self, txn):
+        raise RuntimeError("abort record failed")
+
+
+@pytest.mark.parametrize("failing_record", [False, True], ids=["plain", "failing-record"])
+def test_graph_drains_when_a_pinning_reader_aborts(failing_record):
+    """The automatic pass runs as the reader ends, even when its abort
+    record raises; no explicit collect() below."""
+    eng = Engine("sgt", recorder=_AbortRecordFails() if failing_record else None)
+    oid = eng.seed_object(0)
+    reader = eng.begin()
+    eng.read(reader, oid)
+    for _ in range(300):
+        txn = eng.begin()
+        eng.write(txn, oid, txn.ts)
+        assert eng.commit(txn).committed
+    assert eng.backend.graph_size() == 301  # the reader pins every commit
+    if failing_record:
+        with pytest.raises(RuntimeError):
+            eng.abort(reader)
+    else:
+        eng.abort(reader)
     assert eng.backend.graph_size() == 0
 
 
