@@ -104,6 +104,11 @@ class BenchReport:
     def throughput_ops_s(self) -> float:
         return self.committed / (self.wall_ms / 1000.0) if self.wall_ms else 0.0
 
+    @property
+    def thread_cpu_mean_ms(self) -> float:
+        cpu = self.thread_cpu_ms
+        return sum(cpu) / len(cpu) if cpu else 0.0
+
     def csv_row(self) -> list[str]:
         cfg = self.config
         cpu = self.thread_cpu_ms
@@ -115,7 +120,7 @@ class BenchReport:
             str(cfg.seed),
             f"{self.wall_ms:.3f}",
             f"{self.proc_cpu_ms:.3f}",
-            f"{sum(cpu) / len(cpu):.3f}" if cpu else "0.000",
+            f"{self.thread_cpu_mean_ms:.3f}",
             f"{min(cpu):.3f}" if cpu else "0.000",
             f"{max(cpu):.3f}" if cpu else "0.000",
             str(self.committed),
@@ -233,13 +238,12 @@ def emit_report(reports: list[BenchReport], csv_path=None, plot_path=None):
     if plot_path:
         rows = []
         for report in reports:
-            cpu = report.thread_cpu_ms
             rows.append({
                 "protocol": report.config.protocol,
                 "threads": report.config.threads,
                 "wall_ms": round(report.wall_ms, 3),
                 "proc_cpu_ms": round(report.proc_cpu_ms, 3),
-                "thread_cpu_mean_ms": round(sum(cpu) / len(cpu), 3) if cpu else 0.0,
+                "thread_cpu_mean_ms": round(report.thread_cpu_mean_ms, 3),
             })
         with open(plot_path, "w", encoding="ascii") as fh:
             fh.write(_PLOT_TEMPLATE.format(rows=rows))

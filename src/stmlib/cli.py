@@ -91,11 +91,10 @@ def cmd_bench(args) -> int:
         )
         report = run_benchmark(cfg)
         reports.append(report)
-        cpu = report.thread_cpu_ms
         line = (
             f"{cfg.protocol} threads={n} wall={report.wall_ms:.1f}ms"
             f" proc_cpu={report.proc_cpu_ms:.1f}ms"
-            f" thread_cpu_mean={sum(cpu) / len(cpu):.1f}ms"
+            f" thread_cpu_mean={report.thread_cpu_mean_ms:.1f}ms"
             f" committed={report.committed} aborted={report.aborted}"
             f" abort_rate={report.abort_rate:.4f}"
             f" throughput={report.throughput_ops_s:.0f}/s"

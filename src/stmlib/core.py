@@ -105,9 +105,9 @@ class Engine:
             self._retire(txn, TxnStatus.ABORTED)
             raise
         if reason is not None:
-            self._retire(txn, TxnStatus.ABORTED, backend_done=True)
+            self._retire(txn, TxnStatus.ABORTED)
             return CommitResult(False, txn.ts, reason)
-        self._retire(txn, TxnStatus.COMMITTED, backend_done=True)
+        self._retire(txn, TxnStatus.COMMITTED)
         return CommitResult(True, txn.ts)
 
     def abort(self, txn: Transaction):
@@ -118,10 +118,8 @@ class Engine:
         if txn.status is not TxnStatus.LIVE:
             raise TxnNotLive(f"transaction {txn.ts} is {txn.status.value}")
 
-    def _retire(self, txn: Transaction, status: TxnStatus, backend_done: bool = False):
-        # On a commit-path exit the backend already cleaned up its own
-        # state (and logged the commit inside its critical section).
-        if not backend_done:
+    def _retire(self, txn: Transaction, status: TxnStatus):
+        if status is TxnStatus.ABORTED:
             self.backend.on_abort(txn)
         txn.status = status
         with self._meta_lock:

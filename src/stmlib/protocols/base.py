@@ -1,15 +1,20 @@
 """Shared pieces of the protocol backends.
 
 A backend owns the shared object store and every lock that guards it.
-The engine calls, per transaction: on_begin, commit (returning None or
-an AbortReason, after cleaning up the transaction's protocol state
-either way) and on_abort for voluntary or read-path aborts.  A commit
+The engine calls, per transaction: on_begin, then commit (returning
+None or an AbortReason); the engine calls `on_abort` for every
+transaction that ends aborted, whether it aborted itself, a read
+refused it, its commit was refused or its commit raised.  A commit
 that passes validation calls `record_commit(ts, write_set)`, which logs
 the writes it is about to publish and then its COMMIT, before it
 installs anything, inside the same critical section.  A refused commit
 records no WRITE, and a commit that raises (a failing recorder) has
-changed no shared state; the engine then retires the transaction
-through on_abort.
+changed no shared state.
+
+All three backends keep their objects in `BackendBase`'s one store.
+An entry's `lock` guards its fields: bto and mvto give each entry a
+lock of its own, and every sgt entry holds the graph lock, which is
+also the store lock.
 
 `on_read(txn, oid)` is the whole transactional read: `Engine.read`
 resolves straight to it, so a read runs one Python frame.  In order:
@@ -61,6 +66,17 @@ ABORTED = TxnStatus.ABORTED
 
 
 class BackendBase:
+    """The object store every backend keeps, and the calls that use it.
+
+    `_store` maps oid -> entry and gains entries only under
+    `_store_lock`.  No entry is ever removed, so `_entry` may look up
+    outside the lock: an entry it finds stays in the store.  Subclasses
+    provide `entry_type`, called as `self.entry_type(stamp, value)`
+    (stamp 0 when seeded), whose entries have a `lock` slot that guards
+    their other fields and a `value` slot holding the newest committed
+    value; they also provide on_read, commit and object_meta.
+    """
+
     #: stamps between automatic garbage collection passes: the engine runs
     #: one when a transaction whose stamp is a multiple of it ends,
     #: committed or aborted; None: never
@@ -68,12 +84,11 @@ class BackendBase:
 
     def __init__(self):
         self.engine = None
+        self._store: dict = {}
+        self._store_lock = threading.Lock()
 
     def attach(self, engine):
         self.engine = engine
-
-    # subclasses provide on_read, commit, seed, read_committed,
-    # object_count and object_meta
 
     def on_begin(self, txn):
         pass
@@ -84,15 +99,33 @@ class BackendBase:
     def collect(self, min_active_ts: int) -> int:
         return 0
 
+    def seed(self, oid: int, value):
+        with self._store_lock:
+            self._store[oid] = self.entry_type(0, value)
+
+    def object_count(self) -> int:
+        with self._store_lock:
+            return len(self._store)
+
+    def _entry(self, oid: int):
+        entry = self._store.get(oid)
+        if entry is None:
+            raise NotFound(f"object {oid}")
+        return entry
+
+    def read_committed(self, oid: int):
+        entry = self._entry(oid)
+        with entry.lock:
+            return entry.value
+
 
 class LockedStore(BackendBase):
-    """Entries with one lock each, and the read and commit bto and mvto share.
+    """The read and commit bto and mvto share, over entries with a lock each.
 
     Subclasses set `entry_type` and `refusal`, the AbortReason of a
-    failed validation.  An entry is built as `entry_type(stamp, value)`,
-    stamp 0 when seeded, and provides `lock`, `value`, `max_read`,
-    `max_write` (the stamp of `value`, the newest committed version),
-    `read_older(ts, oid)`, `admits(ts)` and `install(ts, value)`.
+    failed validation.  Besides `lock` and `value`, an entry provides
+    `max_read`, `max_write` (the stamp of `value`, the newest committed
+    version), `read_older(ts, oid)`, `admits(ts)` and `install(ts, value)`.
 
     A read younger than `max_write` raises `max_read` and takes `value`
     inline.  Any other reader calls `read_older`, which applies the
@@ -107,24 +140,6 @@ class LockedStore(BackendBase):
     them to the store.  A recorder that raises therefore leaves nothing
     published.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._store: dict = {}
-        self._store_lock = threading.Lock()
-
-    def seed(self, oid: int, value):
-        with self._store_lock:
-            self._store[oid] = self.entry_type(0, value)
-
-    def object_count(self) -> int:
-        return len(self._store)
-
-    def _entry(self, oid: int):
-        entry = self._store.get(oid)
-        if entry is None:
-            raise NotFound(f"object {oid}")
-        return entry
 
     def on_read(self, txn, oid: int):
         if txn.status is not LIVE:
@@ -161,11 +176,6 @@ class LockedStore(BackendBase):
             self.engine._retire(txn, ABORTED)
             raise
         return value
-
-    def read_committed(self, oid: int):
-        entry = self._entry(oid)
-        with entry.lock:
-            return entry.value
 
     def commit(self, txn):
         ts = txn.ts

@@ -4,11 +4,17 @@ Transactions are nodes in a conflict graph.  Reads draw edges from the
 committed writers of the object, commits draw edges from every node
 that read or wrote an object in the write set, and begins draw
 real-time edges from every transaction already committed.  An operation
-that would close a cycle aborts its transaction instead.  Every graph
+that would close a cycle aborts its transaction instead, and unlinks
+its node before it releases the graph lock, although the engine's
+on_abort unlinks it again: in between, another transaction's cycle
+search could pass through the refused node's edges.  Every graph
 mutation, the matching store access and the history record for it
 happen under one graph lock: admitting an operation under the lock but
 letting its effect land later would let two admissions take effect in
-the opposite order, certifying an execution that never happened.
+the opposite order, certifying an execution that never happened.  The
+graph lock is the `_store_lock` of the store all backends share, and
+every entry holds it as its `lock`, so the store calls `BackendBase`
+provides (seed, object_count, read_committed) take the graph lock too.
 
 Objects carry no reader marks.  Each graph-resident node keeps the
 objects it has read: its `_reads_of` entry is the transaction's own
@@ -62,7 +68,6 @@ that name.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 
 from ..errors import AbortReason, NotFound, TransactionAborted
@@ -91,9 +96,10 @@ def node_on_cycle(adj, start):
 
 
 class _Entry:
-    __slots__ = ("value", "writer_ts", "writers")
+    __slots__ = ("lock", "value", "writer_ts", "writers")
 
-    def __init__(self, value, writer_ts=0):
+    def __init__(self, lock, writer_ts, value):
+        self.lock = lock  # the backend's graph lock
         self.value = value
         self.writer_ts = writer_ts
         self.writers: set[int] = set()  # graph-resident committed writers
@@ -105,11 +111,13 @@ class SgtBackend(BackendBase):
 
     def __init__(self):
         super().__init__()
-        self._glock = threading.Lock()
-        self._store: dict[int, _Entry] = {}
+        self._glock = self._store_lock  # guards the graph, the store and the record
         self._out: dict[int, set[int]] = {}  # keyed by every graph-resident node
         self._reads_of: dict[int, dict] = {}  # node -> its transaction's read_set
         self._retired: deque[tuple[int, int, dict]] = deque()  # (tag, ts, write set), commit order
+
+    def entry_type(self, stamp, value):
+        return _Entry(self._glock, stamp, value)
 
     # -- engine hooks -------------------------------------------------
 
@@ -185,10 +193,10 @@ class SgtBackend(BackendBase):
             for oid, value in write_set.items():
                 entry = self._store.get(oid)
                 if entry is None:
-                    entry = _Entry(value)
-                    self._store[oid] = entry
-                entry.value = value
-                entry.writer_ts = ts
+                    entry = self._store[oid] = _Entry(self._glock, ts, value)
+                else:
+                    entry.value = value
+                    entry.writer_ts = ts
                 entry.writers.add(ts)
             self._retired.append((self.engine._next_ts, ts, write_set))
             return None
@@ -216,36 +224,17 @@ class SgtBackend(BackendBase):
                 freed += 1
         return freed
 
-    # -- store access -------------------------------------------------
-
-    def seed(self, oid: int, value):
-        with self._glock:
-            self._store[oid] = _Entry(value)
-
-    def read_committed(self, oid: int):
-        with self._glock:
-            entry = self._store.get(oid)
-            if entry is None:
-                raise NotFound(f"object {oid}")
-            return entry.value
-
-    def object_count(self) -> int:
-        with self._glock:
-            return len(self._store)
+    # -- introspection ------------------------------------------------
 
     def object_meta(self, oid: int) -> dict:
-        with self._glock:
-            entry = self._store.get(oid)
-            if entry is None:
-                raise NotFound(f"object {oid}")
+        entry = self._entry(oid)
+        with entry.lock:
             return {
                 "value": entry.value,
                 "writer_ts": entry.writer_ts,
                 "readers": sorted(ts for ts, reads in self._reads_of.items() if oid in reads),
                 "writers": sorted(entry.writers),
             }
-
-    # -- introspection ------------------------------------------------
 
     def graph_size(self) -> int:
         with self._glock:

@@ -298,6 +298,7 @@ def stress_snapshots(protocol: str, seconds: float, threads: int = 8):
     return samples, bad
 
 
+@pytest.mark.slow
 def test_snapshots_stay_well_formed_under_stress():
     seconds = 60.0
     report = []
@@ -343,6 +344,7 @@ def test_thread_sweep_emits_the_artifacts(tmp_path):
     assert ok
 
 
+@pytest.mark.slow
 def test_per_thread_cpu_ordering_is_reported():
     medians = {}
     for protocol in PROTOCOLS:

@@ -222,6 +222,26 @@ def test_write_to_an_id_never_handed_out(protocol, oid):
     assert eng.read_committed(fresh[1]) == "mine"
 
 
+def test_store_lookups_of_an_unknown_id_raise_not_found(protocol):
+    eng = Engine(protocol)
+    seeded = [eng.seed_object(v) for v in ("a", "b")]
+    unwritten = eng.new_object_id()  # handed out, never committed
+    assert eng.object_count() == 2
+    for oid in (0, unwritten, unwritten + 1):
+        with pytest.raises(NotFound):
+            eng.read_committed(oid)
+        with pytest.raises(NotFound):
+            eng.object_meta(oid)
+    assert [eng.read_committed(oid) for oid in seeded] == ["a", "b"]
+    assert eng.object_meta(seeded[0])["writer_ts"] == 0
+    assert eng.object_count() == 2
+    backend = eng.backend
+    for entry in backend._store.values():
+        assert entry.lock.locked() is False
+        if protocol == "sgt":
+            assert entry.lock is backend._glock is backend._store_lock
+
+
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
         Engine("2pl")
@@ -443,11 +463,8 @@ def test_a_raising_commit_publishes_nothing_and_retires(protocol, writes):
     assert not [e for e in rec.history().events
                 if e.kind in (WRITE, COMMIT) and e.txn == txn.ts]
     backend = eng.backend
-    if protocol == "sgt":
-        assert backend._glock.locked() is False
-    else:
-        assert backend._store_lock.locked() is False
-        assert not any(entry.lock.locked() for entry in backend._store.values())
+    assert backend._store_lock.locked() is False
+    assert not any(entry.lock.locked() for entry in backend._store.values())
     rec.failing = False
     fresh = eng.begin()
     eng.write(fresh, oid, "fresh")

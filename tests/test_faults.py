@@ -144,12 +144,10 @@ def _assert_quiescent(eng, faults, begun):
     assert eng._meta_lock.locked() is False
     assert faults._lock.locked() is False
     backend = eng.backend
+    assert backend._store_lock.locked() is False
+    assert not any(entry.lock.locked() for entry in backend._store.values())
     if eng.protocol == "sgt":
-        assert backend._glock.locked() is False
         assert backend.graph_size() == 0  # the automatic pass as the last one ended
-    else:
-        assert backend._store_lock.locked() is False
-        assert not any(entry.lock.locked() for entry in backend._store.values())
     eng.collect()
     if eng.protocol == "mvto":
         assert not any(chain.stamps for chain in backend._store.values())
