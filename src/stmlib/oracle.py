@@ -341,14 +341,17 @@ def load_trace(path) -> History:
     A line with a non-ASCII byte, a non-integer field, an event kind
     outside 0..3, a field count other than six for a read (its last
     field the version read) and five for any other kind, a seq that is
-    not above the previous line's or a ts other than its txn, and a
+    not above the previous line's, a ts other than its txn, an event of
+    a transaction that already committed or aborted, and a
     `# protocol=` header with no name or a name outside
     `stmlib.protocols.PROTOCOLS`, raise ValueError naming path:line.
     The single-version rules order conflicts by seq, so a trace whose
-    seqs do not increase would be misread, not merely mislabelled.
+    seqs do not increase would be misread, not merely mislabelled; they
+    also take a transaction's writes and commit to follow its reads.
     """
     history = History()
     last_seq = None
+    ended = set()
     # Undecodable bytes become lone surrogates, so the line that holds
     # one can be named instead of failing somewhere in a read-ahead chunk.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -386,6 +389,11 @@ def load_trace(path) -> History:
                 raise ValueError(f"{path}:{lineno}: seq {seq} does not follow seq {last_seq}")
             if ts != txn:
                 raise ValueError(f"{path}:{lineno}: ts {ts} differs from txn {txn}")
+            if txn in ended:
+                raise ValueError(f"{path}:{lineno}: {_KIND_NAMES[kind]} event after "
+                                 f"txn {txn} ended")
+            if kind == COMMIT or kind == ABORT:
+                ended.add(txn)
             last_seq = seq
             version_ts = parts[5] if kind == READ else None
             history.events.append(Event(seq, txn, ts, kind, oid, version_ts))

@@ -29,7 +29,7 @@ resolves straight to it, so a read runs one Python frame.  In order:
 3. `except BaseException:` retire the transaction as ABORTED and
    re-raise.  A refusal (TransactionAborted), NotFound, NoVisibleVersion,
    an unhashable id or anything else ends the transaction there, after
-   the lock is released, as sgt's on_abort takes the graph lock.
+   the lock is released, as sgt's on_abort may take the graph lock.
 The contract is implemented once, in `LockedStore.on_read`, which bto
 and mvto share; sgt repeats it around its graph lock rather than call a
 shared helper, since that would add back the frame.
@@ -53,11 +53,33 @@ with `with`, 129 ns with acquire/try/finally and 31 ns with no lock:
 signal) delivered after `acquire()` returns and before `try` starts
 leaks the lock.  Such an exception reaches only the main thread, whose
 run is then over anyway.
+
+What a committed transaction leaves behind (for sgt, its graph node and
+its writer marks) cannot be freed when the commit returns: a
+transaction that overlapped the commit may still reach it.  A commit C
+that leaves such state therefore appends `(tag, ts, write set)` to
+`BackendBase._retired`, the retire queue, inside its critical section
+under `_store_lock` and after it records the commit; the tag is the
+engine's next begin stamp, read there.  `collect(min_active_ts)` pops
+entries from the front while their tag is at most the engine's oldest
+active stamp and hands each to the backend's `_free(ts, write_set)`.
+Every transaction live at C's commit has already taken its stamp, so
+that stamp is below C's tag, and it stays in the engine's live set
+until the backend is done with it: `Engine._retire` drops a stamp only
+after the transaction's commit or on_abort has returned.  So C is freed
+only once every transaction that overlapped its commit has ended; a
+collector that reads a stale oldest stamp frees less, never more.  Tags
+grow in commit order, since each is read under the lock that guards the
+append, so the queue is sorted by tag and a pass costs only what it
+frees.  `collect` is the only code that pops the queue, and it does so
+under `_store_lock`.  sgt queues every commit; bto and mvto queue
+nothing, and mvto keeps its own `collect`.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 from ..errors import NotFound, TxnStatus
 
@@ -74,7 +96,8 @@ class BackendBase:
     provide `entry_type`, called as `self.entry_type(stamp, value)`
     (stamp 0 when seeded), whose entries have a `lock` slot that guards
     their other fields and a `value` slot holding the newest committed
-    value; they also provide on_read, commit and object_meta.
+    value; they also provide on_read, commit and object_meta, and a
+    backend that appends to `_retired` provides `_free`.
     """
 
     #: stamps between automatic garbage collection passes: the engine runs
@@ -86,6 +109,7 @@ class BackendBase:
         self.engine = None
         self._store: dict = {}
         self._store_lock = threading.Lock()
+        self._retired: deque[tuple[int, int, dict]] = deque()  # (tag, ts, write set), commit order
 
     def attach(self, engine):
         self.engine = engine
@@ -97,7 +121,14 @@ class BackendBase:
         pass
 
     def collect(self, min_active_ts: int) -> int:
-        return 0
+        freed = 0
+        with self._store_lock:
+            retired = self._retired
+            while retired and retired[0][0] <= min_active_ts:
+                _, ts, write_set = retired.popleft()
+                self._free(ts, write_set)
+                freed += 1
+        return freed
 
     def seed(self, oid: int, value):
         with self._store_lock:

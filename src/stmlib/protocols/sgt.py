@@ -5,16 +5,17 @@ committed writers of the object, commits draw edges from every node
 that read or wrote an object in the write set, and begins draw
 real-time edges from every transaction already committed.  An operation
 that would close a cycle aborts its transaction instead, and unlinks
-its node before it releases the graph lock, although the engine's
-on_abort unlinks it again: in between, another transaction's cycle
-search could pass through the refused node's edges.  Every graph
-mutation, the matching store access and the history record for it
-happen under one graph lock: admitting an operation under the lock but
-letting its effect land later would let two admissions take effect in
-the opposite order, certifying an execution that never happened.  The
-graph lock is the `_store_lock` of the store all backends share, and
-every entry holds it as its `lock`, so the store calls `BackendBase`
-provides (seed, object_count, read_committed) take the graph lock too.
+its node before it releases the graph lock: between that release and
+the engine's on_abort, another transaction's cycle search could pass
+through the refused node's edges.  on_abort then finds the node gone
+and takes no lock.  Every graph mutation, the matching store access and
+the history record for it happen under one graph lock: admitting an
+operation under the lock but letting its effect land later would let
+two admissions take effect in the opposite order, certifying an
+execution that never happened.  The graph lock is the `_store_lock` of
+the store all backends share, and every entry holds it as its `lock`,
+so the store calls `BackendBase` provides (seed, object_count,
+read_committed) take the graph lock too.
 
 Objects carry no reader marks.  Each graph-resident node keeps the
 objects it has read: its `_reads_of` entry is the transaction's own
@@ -46,20 +47,13 @@ resident while any transaction that overlapped its commit is live
 a search that eager removal would have skipped, and that search visits
 the id and reports no cycle.
 
-Committed nodes cannot be dropped immediately: a transaction that
-overlapped one may still pick up an edge through it.  A commit C
-therefore queues its node and write set with a tag, the engine's next
-begin stamp read under the graph lock, and the collector frees queued
-nodes from the front while their tag is at most the engine's oldest
-active stamp.  Every transaction live at C's commit has already taken
-its stamp, so that stamp is below C's tag, and it stays in the engine's
-live set until it has terminated here.  The engine's live set thus
-contains the graph's live nodes, and C is freed only once every
-transaction that overlapped its commit has ended; a collector that
-reads a stale oldest stamp frees less, never more.  Tags grow in commit
-order, so the queue is sorted by tag and a pass costs only what it
-frees.  The queue holds exactly the committed resident nodes, so a
-begin draws its real-time edges by walking it.
+A committed node cannot be dropped at once, as a transaction that
+overlapped its commit may still pick up an edge through it.  Every
+commit, read-only ones included, therefore puts its node on the retire
+queue `BackendBase` keeps under the graph lock, whose contract in
+`base.py` says when an entry is freed; `_free` then unlinks the node
+and drops its writer marks.  The queue holds exactly the committed
+resident nodes, so a begin draws its real-time edges by walking it.
 
 The cycle search stays the module-level function `node_on_cycle`,
 looked up as a module global, because the traced benchmark wraps it by
@@ -67,8 +61,6 @@ that name.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ..errors import AbortReason, NotFound, TransactionAborted
 from .base import ABORTED, LIVE, BackendBase
@@ -114,7 +106,6 @@ class SgtBackend(BackendBase):
         self._glock = self._store_lock  # guards the graph, the store and the record
         self._out: dict[int, set[int]] = {}  # keyed by every graph-resident node
         self._reads_of: dict[int, dict] = {}  # node -> its transaction's read_set
-        self._retired: deque[tuple[int, int, dict]] = deque()  # (tag, ts, write set), commit order
 
     def entry_type(self, stamp, value):
         return _Entry(self._glock, stamp, value)
@@ -202,8 +193,10 @@ class SgtBackend(BackendBase):
             return None
 
     def on_abort(self, txn):
-        with self._glock:
-            self._unlink(txn.ts)
+        # only this transaction's thread adds or unlinks its uncommitted node
+        if txn.ts in self._out:
+            with self._glock:
+                self._unlink(txn.ts)
 
     # -- graph maintenance --------------------------------------------
 
@@ -212,17 +205,11 @@ class SgtBackend(BackendBase):
         self._out.pop(ts, None)
         self._reads_of.pop(ts, None)
 
-    def collect(self, min_active_ts: int) -> int:
-        freed = 0
-        with self._glock:
-            retired = self._retired
-            while retired and retired[0][0] <= min_active_ts:
-                _, ts, write_set = retired.popleft()
-                self._unlink(ts)
-                for oid in write_set:
-                    self._store[oid].writers.discard(ts)
-                freed += 1
-        return freed
+    def _free(self, ts: int, write_set: dict):
+        """Drop a retired commit's node and its writer marks; `collect` holds the lock."""
+        self._unlink(ts)
+        for oid in write_set:
+            self._store[oid].writers.discard(ts)
 
     # -- introspection ------------------------------------------------
 

@@ -133,9 +133,14 @@ def test_check_multiversion_flag_changes_the_rules(tmp_path, capsys):
     ("# protocol=bto\n1 1 1 0 1 0\n5 2 2 0 1 0\n3 1 1 1 1\n4 1 1 2 0\n5 2 2 1 1\n"
      "6 2 2 2 0\n", "run.trace:4: seq 3 does not follow seq 5"),
     ("# protocol=mvto\n1 1 7 0 1 0\n2 1 9 2 0\n", "run.trace:2: ts 7 differs from txn 1"),
+    # Without the check, the first reads serializable and the second a
+    # cycle of one transaction.
+    ("1 1 1 1 5\n2 1 1 2 0\n3 1 1 3 0\n", "run.trace:3: abort event after txn 1 ended"),
+    ("1 1 1 1 5\n2 1 1 2 0\n3 1 1 0 5 1\n", "run.trace:3: read event after txn 1 ended"),
 ], ids=["missing-file", "non-integer-field", "short-line", "incomplete-history",
         "unknown-kind", "non-ascii", "empty-protocol", "unknown-protocol",
-        "read-without-version", "extra-field", "seq-not-increasing", "ts-not-txn"])
+        "read-without-version", "extra-field", "seq-not-increasing", "ts-not-txn",
+        "abort-after-commit", "read-after-commit"])
 def test_check_bad_trace_is_an_error(tmp_path, capsys, content, message):
     trace = tmp_path / "run.trace"
     if content is not None:

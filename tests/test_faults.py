@@ -148,6 +148,7 @@ def _assert_quiescent(eng, faults, begun):
     assert not any(entry.lock.locked() for entry in backend._store.values())
     if eng.protocol == "sgt":
         assert backend.graph_size() == 0  # the automatic pass as the last one ended
+    assert not backend._retired  # drained without an explicit pass, on every protocol
     eng.collect()
     if eng.protocol == "mvto":
         assert not any(chain.stamps for chain in backend._store.values())

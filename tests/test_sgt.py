@@ -1,6 +1,7 @@
 """Conflict-graph behavior: edges, cycle aborts, garbage collection."""
 
 import random
+import threading
 
 import pytest
 from conftest import (
@@ -131,6 +132,45 @@ def test_lost_update_cycle_on_commit():
     assert result.reason is AbortReason.CYCLE_DETECTED
     assert t1.ts not in graph(eng)
     assert eng.read_committed(oid) == 2
+
+
+class _CountingLock:
+    """A lock that counts how often it is acquired."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def acquire(self, *args):
+        self.acquired += 1
+        return self._lock.acquire(*args)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_a_refused_commit_takes_the_graph_lock_once():
+    eng = keep_resident(Engine("sgt"))
+    backend = eng.backend
+    lock = backend._store_lock = backend._glock = _CountingLock()  # before any entry holds it
+    oid = eng.seed_object(0)
+    t1 = eng.begin()
+    t2 = eng.begin()
+    eng.read(t1, oid)
+    eng.read(t2, oid)
+    eng.write(t1, oid, 1)
+    eng.write(t2, oid, 2)
+    assert eng.commit(t2).committed
+    lock.acquired = 0
+    assert eng.commit(t1).reason is AbortReason.CYCLE_DETECTED
+    assert lock.acquired == 1  # the commit unlinked the node; on_abort found it gone
+    assert t1.ts not in graph(eng)
 
 
 def test_real_time_edge_enforces_commit_order():
