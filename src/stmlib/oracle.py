@@ -20,13 +20,19 @@ collection for as long as the recorder lived.  `HistoryRecorder.history`
 materialises the `Event` and `OpRecord` objects in one pass when the
 run is over, moving that cost out of the recording path.
 
-The check reads each event once, bucketing commits, aborts, and per
-object its reads and writers.  From those buckets it draws the
-precedence graph straight into successor lists and in-degree counts;
-an edge drawn twice is kept twice, which Kahn's topological sort
-handles by consuming each copy.  Time and memory are linear in the
-number of events apart from sorting each object's writers and the heap
-that picks the smallest ready timestamp.
+The check draws the precedence graph as groups `(w, readers, t)`: the
+edges from writer w to each reader, from each reader other than t to
+the next writer t, and from w to t.  A single-version history (bto,
+sgt, or no protocol) is drawn in one scan in seq order, with O(1)
+state per object: reads take effect at their seq and writes at their
+commit (Papadimitriou 1979).  An mvto history is bucketed by object
+and by the version each read observed, and ordered by writer stamp.
+Either way each read gets edges to its nearest enclosing writes, so
+the edge count stays linear while reachability, and therefore cycles
+and topological orders, of the full conflict relation is kept.  When
+every edge points to a larger stamp, as timestamp ordering guarantees
+(Bernstein, Hadzilacos & Goodman 1987, ch. 4), stamp order is the
+witness; only otherwise are in-degrees built and Kahn's heap run.
 
 Transaction ids equal transaction timestamps throughout; each retry of
 a set operation is a fresh transaction with a fresh stamp.
@@ -89,7 +95,8 @@ class History:
         return self.protocol == "mvto"
 
     def committed_txns(self) -> set[int]:
-        return {e.txn for e in self.events if e.kind == COMMIT}
+        # Indexing a tuple is cheaper than looking up a NamedTuple field.
+        return {e[1] for e in self.events if e[3] == COMMIT}
 
 
 @dataclass
@@ -169,79 +176,160 @@ class HistoryRecorder:
         )
 
 
-def _precedence_graph(events: list[Event], multiversion: bool):
-    """Successor lists and in-degrees over the committed transactions.
-
-    One scan buckets the events: the commit seq of each committed txn,
-    the aborted txns, and per object its read events and its writers.
-    A read goes into its bucket as the `Event` itself, so bucketing
-    allocates nothing per read beyond a list slot.  Aborted transactions
-    never published an effect and draw no edge.
-
-    Write-write edges join consecutive committed writers of an object.
-    Single-version rules order read effects at their read seq and write
-    effects at their writer's commit seq, and draw each committed read's
-    edges to its nearest enclosing writes.  Multiversion rules order
-    versions by writer stamp, and draw a reads-from edge from the version
-    a read observed plus an edge to the next committed writer in version
-    order, which chains to the rest.  Either way the edge count stays
-    linear while reachability, and therefore cycles and topological
-    orders, of the full conflict relation is preserved.  Edges are
-    appended without removing duplicates: Kahn's algorithm consumes
-    every copy when its source is emitted.
-    """
-    commit_seq: dict[int, int] = {}
-    aborted: set[int] = set()
-    reads: defaultdict[int, list[Event]] = defaultdict(list)
-    writers: defaultdict[int, set[int]] = defaultdict(set)
-    for e in events:
-        seq, txn, _ts, kind, oid, _version_ts = e
-        if kind == READ:
-            reads[oid].append(e)
-        elif kind == WRITE:
-            writers[oid].add(txn)
-        elif kind == COMMIT:
-            commit_seq[txn] = seq
-        elif kind == ABORT:
-            aborted.add(txn)
-    hanging = set(map(itemgetter(1), events)).difference(commit_seq, aborted)
+def _require_complete(events: list[Event], committed: list[int], aborted: list[int]):
+    hanging = set(map(itemgetter(1), events)).difference(committed, aborted)
     if hanging:
         raise IncompleteHistory(f"{len(hanging)} transaction(s) never terminated")
 
-    succ: dict[int, list[int]] = {t: [] for t in commit_seq}
-    indeg = dict.fromkeys(commit_seq, 0)
-    for oid, txns in writers.items():
-        if multiversion:
-            ws = order = sorted(t for t in txns if t in commit_seq)  # txn id == ts
-        else:
-            by_commit = sorted((commit_seq[t], t) for t in txns if t in commit_seq)
-            order = [s for s, _ in by_commit]
-            ws = [t for _, t in by_commit]
-        if not ws:
-            continue
-        for a, b in zip(ws, ws[1:]):
-            succ[a].append(b)
-            indeg[b] += 1
-        n = len(ws)
-        for rseq, reader, _ts, _kind, _oid, version_ts in reads.get(oid, ()):
-            if reader not in commit_seq:
-                continue
-            if multiversion:
-                # The read's own version, when a committed writer made it.
-                i = bisect_left(order, version_ts + 1)
-                before = version_ts if i and version_ts and ws[i - 1] == version_ts else None
-            else:
-                # A transaction's own write commits after its reads, so
-                # the preceding write can never be the reader's.
-                i = bisect_left(order, rseq)
-                before = ws[i - 1] if i else None
-            if before is not None:
-                succ[before].append(reader)
-                indeg[reader] += 1
-            if i < n and ws[i] != reader:
-                succ[reader].append(ws[i])
-                indeg[ws[i]] += 1
-    return succ, indeg
+
+def _single_version_groups(events: list[Event]):
+    """The committed txns and the conflict-edge groups of a single-version history.
+
+    One scan in seq order: a read takes effect at its seq and a write at
+    its transaction's COMMIT.  Per object the scan keeps its latest
+    committed writer and the transactions that read it since that
+    write; per transaction, the objects it wrote until it ends.  A
+    COMMIT closes, for each object it wrote, the group `(w, readers, t)`
+    of the previous writer w, the readers since w and the committer t;
+    the readers of each object's last version close with t = None at the
+    end of the scan.  Readers that abort stay in their groups, to be
+    dropped by `_topological_order`.  The scan does O(1) work per event
+    and builds no per-object read bucket.
+
+    Events come in seq order, as the recorder and `load_trace` give
+    them, and a transaction has no event after its COMMIT or ABORT.  A
+    WRITE after its transaction's COMMIT would be published nowhere, so
+    it raises ValueError naming the txn.
+    """
+    last_writer: dict[int, int] = {}
+    readers: defaultdict[int, list[int]] = defaultdict(list)
+    pending: defaultdict[int, list[int]] = defaultdict(list)  # txn -> oids it wrote
+    committed: list[int] = []
+    aborted: list[int] = []
+    groups: list[tuple] = []
+    for _seq, txn, _ts, kind, oid, _version_ts in events:
+        if kind == READ:
+            readers[oid].append(txn)
+        elif kind == WRITE:
+            pending[txn].append(oid)
+        elif kind == COMMIT:
+            committed.append(txn)
+            for oid in pending.pop(txn, ()):
+                groups.append((last_writer.get(oid), readers.pop(oid, ()), txn))
+                last_writer[oid] = txn
+        elif kind == ABORT:
+            aborted.append(txn)
+            pending.pop(txn, None)
+    for oid, rs in readers.items():
+        groups.append((last_writer.get(oid), rs, None))
+    _require_complete(events, committed, aborted)
+    if pending:
+        late = set(pending).intersection(committed)
+        if late:
+            raise ValueError(f"WRITE event after the COMMIT of txn {min(late)}")
+    return committed, groups
+
+
+def _multiversion_groups(events: list[Event]):
+    """The committed txns and the conflict-edge groups of an mvto history.
+
+    One scan buckets the events: the committed and aborted txns, the
+    writers of each object, and the readers of each version, keyed by
+    object and the writer stamp the read observed.  Versions are ordered
+    by writer stamp, so each committed version forms the group
+    `(w, readers of w, next committed writer)`, and the readers of a
+    version no committed writer made (the initial one, 0, or an aborted
+    writer's) form `(None, readers, next committed writer)`.  Time is
+    linear in the number of events apart from sorting each object's
+    writers and one bisection per such version.
+    """
+    committed: list[int] = []
+    aborted: list[int] = []
+    readers: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    writers: defaultdict[int, set[int]] = defaultdict(set)
+    for _seq, txn, _ts, kind, oid, version_ts in events:
+        if kind == READ:
+            readers[oid, version_ts].append(txn)
+        elif kind == WRITE:
+            writers[oid].add(txn)
+        elif kind == COMMIT:
+            committed.append(txn)
+        elif kind == ABORT:
+            aborted.append(txn)
+    _require_complete(events, committed, aborted)
+
+    done = set(committed)
+    versions: dict[int, list[int]] = {}  # oid -> its committed writers by stamp
+    groups: list[tuple] = []
+    while writers:  # popped, so each writer set is freed as its groups are drawn
+        oid, txns = writers.popitem()
+        ws = versions[oid] = sorted(txns.intersection(done))  # txn id == ts
+        w = None
+        for t in ws:
+            if w is not None:
+                groups.append((w, readers.pop((oid, w), ()), t))
+            w = t
+        rs = readers.pop((oid, w), None)
+        if rs:
+            groups.append((w, rs, None))
+    for (oid, version_ts), rs in readers.items():
+        ws = versions.get(oid, ())
+        i = bisect_left(ws, version_ts + 1)
+        if i < len(ws):
+            groups.append((None, rs, ws[i]))
+    return committed, groups
+
+
+def _stamp_ordered(groups: list[tuple]) -> bool:
+    """Whether every edge of the groups points to a larger stamp."""
+    for w, rs, t in groups:
+        if w is not None:
+            if t is not None and w >= t:
+                return False
+            if rs and w >= min(rs):
+                return False
+        if rs and t is not None and max(rs) > t:
+            return False
+    return True
+
+
+def _topological_order(committed: list[int], groups: list[tuple]) -> Verdict:
+    """Kahn's order that always emits the smallest ready txn, or a cycle.
+
+    Edges with an end that did not commit are dropped.  An edge drawn
+    twice is kept twice: Kahn's algorithm consumes every copy when its
+    source is emitted.
+    """
+    succ: dict[int, list[int]] = {t: [] for t in committed}
+    indeg = dict.fromkeys(committed, 0)
+    for w, rs, t in groups:
+        rs = [r for r in rs if r in indeg]
+        if w is not None:
+            succ[w] += rs
+            for r in rs:
+                indeg[r] += 1
+            if t is not None:
+                succ[w].append(t)
+                indeg[t] += 1
+        if t is not None:
+            for r in rs:
+                if r != t:
+                    succ[r].append(t)
+                    indeg[t] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in succ[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                heapq.heappush(ready, m)
+    if len(order) != len(indeg):
+        remaining = [n for n, d in indeg.items() if d]
+        return Verdict(serializable=False, cycle=_find_cycle(succ, remaining))
+    return Verdict(serializable=True, witness=order)
 
 
 def _find_cycle(succ: dict[int, list[int]], remaining: list[int]):
@@ -272,23 +360,22 @@ def check_conflict_serializability(history: History) -> Verdict:
     The history's recorded protocol decides how read-write conflicts
     are ordered: version order for mvto, commit order otherwise.  The
     witness is the topological order that always emits the smallest
-    ready timestamp.
+    ready timestamp.  When every edge points to a larger stamp, that is
+    stamp order: at each step the smallest remaining txn has all its
+    predecessors emitted, so it is exactly what the heap would pop.
+    Only when some edge points backward are in-degrees built and Kahn's
+    heap run.
+
+    Events come in seq order, as the recorder and `load_trace` give
+    them.  A transaction that never committed or aborted raises
+    IncompleteHistory; in a single-version history a WRITE after its
+    transaction's COMMIT raises ValueError.
     """
-    succ, indeg = _precedence_graph(history.events, history.multiversion)
-    ready = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(ready, m)
-    if len(order) != len(indeg):
-        remaining = [n for n, d in indeg.items() if d]
-        return Verdict(serializable=False, cycle=_find_cycle(succ, remaining))
-    return Verdict(serializable=True, witness=order)
+    build = _multiversion_groups if history.multiversion else _single_version_groups
+    committed, groups = build(history.events)
+    if _stamp_ordered(groups):
+        return Verdict(serializable=True, witness=sorted(committed))
+    return _topological_order(committed, groups)
 
 
 def replay_check(
@@ -303,23 +390,25 @@ def replay_check(
     if set(witness) != committed or len(witness) != len(committed):
         raise WitnessInvalid("witness is not a permutation of the committed txns")
     reference: set[int] = set()
+    set_ops = history.set_ops
     for txn in witness:
-        op = history.set_ops.get(txn)
+        op = set_ops.get(txn)
         if op is None:
             continue
-        if op.kind == "add":
-            ok = op.key not in reference
-            reference.add(op.key)
-        elif op.kind == "remove":
-            ok = op.key in reference
-            reference.discard(op.key)
-        elif op.kind == "contains":
-            ok = op.key in reference
-        elif op.kind == "snapshot":
-            ok = op.payload is None or list(op.payload) == sorted(reference)
+        kind, key, applied, payload = op
+        if kind == "add":
+            ok = key not in reference
+            reference.add(key)
+        elif kind == "remove":
+            ok = key in reference
+            reference.discard(key)
+        elif kind == "contains":
+            ok = key in reference
+        elif kind == "snapshot":
+            ok = payload is None or list(payload) == sorted(reference)
         else:
-            raise WitnessInvalid(f"unknown op kind {op.kind!r}")
-        if ok != op.applied:
+            raise WitnessInvalid(f"unknown op kind {kind!r}")
+        if ok != applied:
             return False
     return sorted(reference) == list(final_snapshot)
 

@@ -97,7 +97,7 @@ def brute_force_multiversion_serializable(history: History) -> bool:
 
 
 def random_single_version_history(rng: random.Random, max_txns: int = 5,
-                                  n_objects: int = 3) -> History:
+                                  n_objects: int = 3, abort_share: float = 0.0) -> History:
     """Interleave unprotected single-version transactions.
 
     No admission control runs, so the result may or may not be
@@ -105,7 +105,9 @@ def random_single_version_history(rng: random.Random, max_txns: int = 5,
     and writes land at commit, which keeps the history well formed.
     Writes are drawn from the objects already read (no blind writes to
     shared objects), the regime where the graph checker and the
-    permutation oracle provably agree.
+    permutation oracle provably agree.  With `abort_share`, about that
+    share of transactions read and then ABORT, logging no WRITE, as a
+    refused commit does; at 0 the random draws are those of before.
     """
     n_txns = rng.randint(1, max_txns)
     plans = []
@@ -130,6 +132,9 @@ def random_single_version_history(rng: random.Random, max_txns: int = 5,
         seq += 1
         if op == "r":
             events.append(Event(seq, txn, txn, READ, oid, current_writer[oid]))
+        elif abort_share and rng.random() < abort_share:
+            events.append(Event(seq, txn, txn, ABORT, 0, None))
+            alive.remove(txn)
         else:
             for woid in sorted(write_sets[txn]):
                 seq += 1

@@ -141,6 +141,18 @@ def test_final_sets_equal_sequential_replay(recorded_runs):
     assert ok
 
 
+def test_timestamp_ordering_witnesses_follow_stamp_order(recorded_runs):
+    # Under timestamp ordering every conflict runs from an older stamp to
+    # a younger one, so the witness of a bto or mvto run is stamp order.
+    runs, _ = recorded_runs
+    ordered = [run for run in runs if run.protocol in ("bto", "mvto")]
+    increasing = sum(1 for run in ordered if run.witness == sorted(run.witness))
+    ok = increasing == len(ordered) == 40
+    announce("stamp-order", ok,
+             f"{increasing}/{len(ordered)} bto and mvto witnesses in increasing stamp order")
+    assert ok
+
+
 def test_bto_decision_tables_match_the_rules():
     agree = total = 0
     for ts in range(5):

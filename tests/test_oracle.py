@@ -213,6 +213,70 @@ def test_multiversion_cycle_is_a_closed_walk_of_conflicts():
     assert_cycles_are_closed_walks_of_conflicts(random_multiversion_history, True)
 
 
+def smallest_ready_first(nodes, pairs) -> list[int]:
+    """Topological order of (a, b) pairs that always takes the smallest ready node."""
+    order, left = [], set(nodes)
+    while left:
+        ready = [n for n in left if not any(b == n and a in left for a, b in pairs)]
+        n = min(ready)
+        order.append(n)
+        left.remove(n)
+    return order
+
+
+def assert_witness_is_smallest_ready_first(generate, multiversion: bool, rounds=300):
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(rounds):
+        h = generate(rng)
+        verdict = check_conflict_serializability(h)
+        if not verdict.serializable:
+            continue
+        reference = smallest_ready_first(h.committed_txns(), naive_conflicts(h, multiversion))
+        assert verdict.witness == reference
+        checked += 1
+    assert checked > 50
+
+
+def test_witness_is_smallest_ready_first_over_all_conflicts():
+    assert_witness_is_smallest_ready_first(random_single_version_history, False)
+
+
+def test_multiversion_witness_is_smallest_ready_first_over_all_conflicts():
+    assert_witness_is_smallest_ready_first(random_multiversion_history, True)
+
+
+def test_aborted_readers_leave_verdict_and_witness_exact():
+    rng = random.Random(2028)
+    aborted_readers = agree_unsat = 0
+    for _ in range(400):
+        h = random_single_version_history(rng, max_txns=7, abort_share=0.3)
+        aborted = {e.txn for e in h.events if e.kind == ABORT}
+        aborted_readers += any(e.kind == READ and e.txn in aborted for e in h.events)
+        verdict = check_conflict_serializability(h)
+        assert verdict.serializable == brute_force_serializable(h)
+        if verdict.serializable:
+            reference = smallest_ready_first(h.committed_txns(), naive_conflicts(h, False))
+            assert verdict.witness == reference
+        else:
+            agree_unsat += 1
+    assert aborted_readers > 100 and agree_unsat > 20
+
+
+def test_write_after_its_commit_is_rejected():
+    # t1's second WRITE would be published by no commit
+    h = history_of([
+        (1, READ, 1, 0),
+        (1, WRITE, 1),
+        (1, COMMIT),
+        (1, WRITE, 2),
+        (2, READ, 2, 0),
+        (2, COMMIT),
+    ])
+    with pytest.raises(ValueError, match="txn 1"):
+        check_conflict_serializability(h)
+
+
 def test_multiversion_old_reader_is_fine():
     # a reader on the old version stays serializable under version order
     h = history_of([
